@@ -13,17 +13,18 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .extract import extract_triplets, load_patterns, write_triplets_tsv
+from .atomic import write_text
+from .extract import extract_triplets, load_patterns, read_triplets_tsv, write_triplets_tsv
 from .features import (
-    ProjectionOrigin,
     build_training_sets,
+    label_filenames,
     load_feature_array,
     origin_for_points,
+    write_training_set,
 )
 from .fuse import fuse, load_scenario
 from .gazetteer import geocode, load_gazetteer
@@ -36,14 +37,12 @@ from .mixture import (
     greedy_train,
 )
 from .predict import (
-    RelationOracle,
     make_grid,
     prediction_accuracy,
     score_point,
     surface_to_csv,
     surface_to_geojson,
 )
-from .extract import read_triplets_tsv
 
 __all__ = ["ModelFileError", "load_model", "load_models_dir", "main", "run", "save_model"]
 
@@ -61,20 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
-
-
 def save_model(model: GmmModel, path: str | Path) -> None:
     """Serialize a mixture as JSON that round-trips floats exactly."""
     payload = {
@@ -89,7 +74,7 @@ def save_model(model: GmmModel, path: str | Path) -> None:
             for c in model.components
         ],
     }
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> GmmModel:
@@ -121,13 +106,22 @@ def load_model(path: str | Path) -> GmmModel:
 
 
 def load_models_dir(directory: str | Path) -> dict[str, GmmModel]:
-    """Load every ``*.model`` file in a directory, keyed by relation label."""
+    """Load every ``*.model`` file in a directory, keyed by relation label.
+
+    Two files with the same relation label are an error naming both files.
+    """
     models: dict[str, GmmModel] = {}
+    sources: dict[str, Path] = {}
     paths = sorted(Path(directory).glob("*.model"))
     if not paths:
         raise ModelFileError(f"no *.model files in {directory}")
     for path in paths:
         model = load_model(path)
+        if model.relation in sources:
+            raise ModelFileError(
+                f"{path}: relation {model.relation!r} is already loaded from {sources[model.relation]}"
+            )
+        sources[model.relation] = path
         models[model.relation] = model
     return models
 
@@ -145,10 +139,6 @@ def _parse_bbox(text: str) -> tuple[float, float, float, float]:
     if len(parts) != 4:
         raise ValueError("bbox must be min_lat,min_lon,max_lat,max_lon")
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
-
-
-def _label_filename(label: str) -> str:
-    return label.replace(" ", "_") + ".tsv"
 
 
 def _cmd_geocode(args) -> None:
@@ -172,22 +162,7 @@ def _cmd_extract(args) -> None:
     with open(args.corpus, encoding="utf-8") as handle:
         corpus = [line.strip() for line in handle if line.strip()]
     triplets = extract_triplets(corpus, gaz, patterns, max_span=args.max_span)
-    lines = []
-    for t in triplets:
-        lines.append(
-            "\t".join(
-                (
-                    t.subject.name,
-                    t.relation,
-                    t.object.name,
-                    repr(t.subject.lat),
-                    repr(t.subject.lon),
-                    repr(t.object.lat),
-                    repr(t.object.lon),
-                )
-            )
-        )
-    _atomic_write_text(args.out, "".join(line + "\n" for line in lines))
+    write_triplets_tsv(triplets, args.out)
     _summary(
         command="extract",
         texts=len(corpus),
@@ -205,13 +180,11 @@ def _cmd_features(args) -> None:
     endpoints += [(t.object.lat, t.object.lon) for t in triplets]
     origin = origin_for_points(endpoints)
     sets = build_training_sets(triplets, origin)
+    filenames = label_filenames(sets)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for label, training_set in sets.items():
-        text = "".join(
-            f"{v.distance!r}\t{v.orientation!r}\n" for v in training_set.vectors
-        )
-        _atomic_write_text(out_dir / _label_filename(label), text)
+        write_training_set(training_set, out_dir / filenames[label])
     _summary(
         command="features",
         triplets=len(triplets),
@@ -252,8 +225,8 @@ def _cmd_predict(args) -> None:
         grid = make_grid(bbox, args.grid_dim)
         surface = score_point(point, grid, models)
         if args.surface_out:
-            _atomic_write_text(args.surface_out + ".csv", surface_to_csv(grid, surface.region_likelihoods))
-            _atomic_write_text(
+            write_text(args.surface_out + ".csv", surface_to_csv(grid, surface.region_likelihoods))
+            write_text(
                 args.surface_out + ".geojson",
                 json.dumps(surface_to_geojson(grid, surface.region_likelihoods), indent=2) + "\n",
             )
@@ -285,16 +258,9 @@ def _cmd_fuse(args) -> None:
     models = load_models_dir(args.models)
     scenario = load_scenario(args.scenario)
     estimate = fuse(scenario, models, fraction=args.fraction, seed=args.seed, fusion=args.fusion)
-    summary_line = "\t".join(
-        (
-            repr(args.fraction),
-            repr(estimate.center[0]),
-            repr(estimate.center[1]),
-            repr(estimate.error_km),
-        )
-    )
-    _atomic_write_text(args.out + ".tsv", summary_line + "\n")
-    _atomic_write_text(
+    fields = (args.fraction, *estimate.center, estimate.error_km)
+    write_text(args.out + ".tsv", "\t".join(repr(v) for v in fields) + "\n")
+    write_text(
         args.out + ".geojson",
         json.dumps(surface_to_geojson(estimate.grid, estimate.region_likelihoods), indent=2) + "\n",
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .atomic import write_text
 from .gazetteer import Gazetteer, Poi, geocode
 
 __all__ = [
@@ -312,7 +313,7 @@ def extract_triplets(
     return triplets
 
 
-def write_triplets_tsv(triplets, path: str) -> None:
+def write_triplets_tsv(triplets, path) -> None:
     """Write ``subject relation object subject_lat subject_lon object_lat object_lon``."""
     lines = [
         "\t".join(
@@ -329,8 +330,7 @@ def write_triplets_tsv(triplets, path: str) -> None:
         + "\n"
         for t in triplets
     ]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+    write_text(path, "".join(lines))
 
 
 def read_triplets_tsv(path: str) -> list[Triplet]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_text
 from .gazetteer import Poi
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "build_training_sets",
     "feature_components",
     "feature_vector",
+    "label_filenames",
     "load_feature_array",
     "origin_for_points",
     "project",
@@ -139,11 +141,23 @@ def build_training_sets(triplets, origin: ProjectionOrigin) -> dict[str, Trainin
     return sets
 
 
-def write_training_set(training_set: TrainingSet, path: str) -> None:
+def label_filenames(labels) -> dict[str, str]:
+    """Training-set file name per label: spaces become underscores, plus ``.tsv``.
+
+    Raises ValueError when two labels map to one name (``north of`` and
+    ``north_of``), since one file would silently replace the other.
+    """
+    names = {label: label.replace(" ", "_") + ".tsv" for label in labels}
+    owners: dict[str, str] = {}
+    for label, name in names.items():
+        if owners.setdefault(name, label) != label:
+            raise ValueError(f"labels {owners[name]!r} and {label!r} both map to {name}")
+    return names
+
+
+def write_training_set(training_set: TrainingSet, path) -> None:
     """Write one feature vector per line as ``distance<TAB>orientation``."""
-    lines = [f"{v.distance!r}\t{v.orientation!r}\n" for v in training_set.vectors]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+    write_text(path, "".join(f"{v.distance!r}\t{v.orientation!r}\n" for v in training_set.vectors))
 
 
 def load_feature_array(path: str) -> np.ndarray:

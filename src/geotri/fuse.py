@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_text
 from .features import feature_components
 from .gazetteer import Poi
-from .predict import Grid, make_grid
+from .predict import Grid, _column_fsum, make_grid
 
 __all__ = [
     "Estimate",
@@ -124,29 +125,17 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
         per_observation[row] = models[label].logpdf(np.column_stack([dist, orient]))
 
     if fusion == "product":
-        log_vertex = np.array(
-            [math.fsum(per_observation[:, j]) for j in range(grid.vertex_count)]
-        )
+        log_vertex = _column_fsum(per_observation)
         peak = log_vertex.max()
         if math.isinf(peak):
             raise ValueError("all observations underflowed on every grid vertex")
         vertex_mass = np.exp(log_vertex - peak)
     else:
-        densities = np.exp(per_observation)
-        vertex_mass = np.array(
-            [math.fsum(densities[:, j]) for j in range(grid.vertex_count)]
-        )
+        vertex_mass = _column_fsum(np.exp(per_observation))
         if vertex_mass.max() <= 0.0:
             raise ValueError("all observations underflowed on every grid vertex")
 
-    vertex_mass = vertex_mass / math.fsum(vertex_mass)
-    corners = grid.regions
-    region = (
-        vertex_mass[corners[:, 0]]
-        + vertex_mass[corners[:, 1]]
-        + vertex_mass[corners[:, 2]]
-        + vertex_mass[corners[:, 3]]
-    ) / 4.0
+    region = grid.region_average(vertex_mass / math.fsum(vertex_mass))
     region = region / math.fsum(region)
 
     centers = grid.region_centers()
@@ -180,8 +169,7 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         f"{label}\t{landmark.name}\t{landmark.lat!r}\t{landmark.lon!r}\n"
         for label, landmark in scenario.observations
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+    write_text(path, "".join(lines))
 
 
 def load_scenario(path: str) -> Scenario:

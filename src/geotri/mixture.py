@@ -28,8 +28,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 __all__ = [
     "GaussianComponent",
@@ -73,9 +71,14 @@ class GaussianComponent:
         cov = np.array(self.covariance, dtype=float).reshape(2, 2)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        values = mean.tolist() + cov.ravel().tolist()
+        if not all(map(math.isfinite, values)):
+            raise InvalidParameterError(f"mean and covariance must be finite: {values}")
         if not (0.0 < self.weight <= 1.0):
             raise InvalidParameterError(f"weight must lie in (0, 1]: {self.weight}")
-        if not np.allclose(cov, cov.T, atol=1e-9):
+        # np.allclose(cov, cov.T, atol=1e-9) on the off-diagonal pair, without its overhead.
+        c01, c10 = values[3], values[4]
+        if abs(c01 - c10) > 1e-9 + 1e-5 * min(abs(c01), abs(c10)):
             raise InvalidParameterError("covariance must be symmetric")
 
 
@@ -112,14 +115,7 @@ class GmmModel:
 
     def logpdf(self, points) -> np.ndarray:
         """Log mixture density at each row of ``points`` (n, 2)."""
-        x = _as_points(points)
-        stacked = np.stack(
-            [
-                math.log(c.weight) + _component_logpdf(x, c.mean, c.covariance)
-                for c in self.components
-            ]
-        )
-        return logsumexp(stacked, axis=0)
+        return _logsumexp(_log_responsibilities(_as_points(points), *_model_arrays(self)))
 
     def pdf(self, points) -> np.ndarray:
         return np.exp(self.logpdf(points))
@@ -166,9 +162,19 @@ def _component_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.nd
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise InvalidParameterError(f"covariance not positive definite: {cov.tolist()}") from exc
-    solved = solve_triangular(chol, (x - mean).T, lower=True)
-    maha = np.einsum("ij,ij->j", solved, solved)
-    return -_LOG_2PI - math.log(chol[0, 0] * chol[1, 1]) - 0.5 * maha
+    # Forward substitution L z = x - mean on the 2x2 Cholesky factor L.
+    diff = x - mean
+    z0 = diff[:, 0] / chol[0, 0]
+    z1 = (diff[:, 1] - chol[1, 0] * z0) / chol[1, 1]
+    return -_LOG_2PI - math.log(chol[0, 0] * chol[1, 1]) - 0.5 * (z0 * z0 + z1 * z1)
+
+
+def _logsumexp(stacked: np.ndarray) -> np.ndarray:
+    """log(sum(exp(stacked), axis=0)); a column that is all -inf stays -inf."""
+    peak = stacked.max(axis=0)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(stacked - shift).sum(axis=0)) + shift
 
 
 def gaussian_pdf(x, component: GaussianComponent) -> float:
@@ -248,7 +254,7 @@ def em_fit(data, model: GmmModel, cfg: TrainingConfig, history: list[float] | No
     previous = None
     for _ in range(cfg.em_max_iter):
         log_joint = _log_responsibilities(x, weights, means, covs)
-        log_norm = logsumexp(log_joint, axis=0)
+        log_norm = _logsumexp(log_joint)
         loglik = float(log_norm.sum())
         if history is not None:
             history.append(loglik)

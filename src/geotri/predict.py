@@ -80,6 +80,16 @@ class Grid:
         """(region_count, 2) array of cell-center (lat, lon) pairs."""
         return self.vertices[self.regions].mean(axis=1)
 
+    def region_average(self, vertex_values: np.ndarray) -> np.ndarray:
+        """Per region, the mean of its four corner values (summed in corner order)."""
+        c, v = self.regions, vertex_values
+        return (v[c[:, 0]] + v[c[:, 1]] + v[c[:, 2]] + v[c[:, 3]]) / 4.0
+
+
+def _column_fsum(values: np.ndarray) -> np.ndarray:
+    """Compensated (``math.fsum``) sum of each column of a 2-D array."""
+    return np.array([math.fsum(column) for column in values.T])
+
 
 def make_grid(bbox: tuple[float, float, float, float], dim: int) -> Grid:
     """Build a ``dim x dim`` vertex grid spanning ``bbox``.
@@ -197,15 +207,12 @@ def score_point(point, grid: Grid, models) -> PredictionSurface:
     else:
         scaled = np.exp(log_surface - peak)
 
-    column_sums = np.array([math.fsum(scaled[:, j]) for j in range(v)])
-    total = math.fsum(column_sums)
-    fused = column_sums / total
-    corners = grid.regions
-    region = (fused[corners[:, 0]] + fused[corners[:, 1]] + fused[corners[:, 2]] + fused[corners[:, 3]]) / 4.0
+    column_sums = _column_fsum(scaled)
+    fused = column_sums / math.fsum(column_sums)
     return PredictionSurface(
         vertex_likelihoods=scaled,
         fused_vertex=fused,
-        region_likelihoods=region,
+        region_likelihoods=grid.region_average(fused),
         chosen_labels=tuple(labels[i] for i in choice),
         underflow_vertices=underflow,
     )

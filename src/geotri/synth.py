@@ -10,6 +10,8 @@ inside their sectors, orientations kept away from the 0/360 wrap).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .features import ProjectionOrigin, feature_components
@@ -19,9 +21,7 @@ from .mixture import (
     GaussianComponent,
     GmmModel,
     TrainingConfig,
-    _floor_covariance,
     derive_seed,
-    em_fit,
     greedy_train,
 )
 from .predict import RelationOracle
@@ -122,13 +122,8 @@ def sample_training_data(n_per_label: int, seed: int) -> dict[str, np.ndarray]:
 
 
 def baseline_fit(data, relation: str, cfg: TrainingConfig) -> GmmModel:
-    """Single-component EM fit (the non-greedy reference trainer)."""
-    x = np.asarray(data, dtype=float)
-    start = GmmModel(
-        relation,
-        (GaussianComponent(1.0, x.mean(axis=0), _floor_covariance(np.cov(x.T, ddof=0))),),
-    )
-    return em_fit(x, start, cfg)
+    """Single-component EM fit: the greedy trainer's start model, never grown."""
+    return greedy_train(data, relation, replace(cfg, max_components=1))
 
 
 def train_city(

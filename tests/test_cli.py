@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from geotri.atomic import write_text
 from geotri.cli import ModelFileError, load_model, load_models_dir, run, save_model
 from geotri.mixture import GaussianComponent, GmmModel, gaussian_pdf
 
@@ -160,6 +161,28 @@ def test_features_writes_per_label_files(feature_dir):
     assert counts == {"near.tsv": 40, "at.tsv": 25, "north_of.tsv": 20, "west_of.tsv": 15}
 
 
+def test_features_rejects_colliding_label_filenames(tmp_path, capsys):
+    triplets = tmp_path / "triplets.tsv"
+    triplets.write_text(
+        "".join(f"Site\t{label}\tOld Market\t40.08\t116.09\t40.09\t116.12\n" for label in ("north of", "north_of")),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "features"
+    code = run(["features", "--triplets", str(triplets), "--out-dir", str(out_dir)])
+    assert code == 1
+    assert "'north of' and 'north_of' both map to north_of.tsv" in capsys.readouterr().err
+    assert not list(out_dir.glob("*"))
+
+
+def test_failed_atomic_write_keeps_old_file(tmp_path):
+    path = tmp_path / "out.tsv"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "new \ud800\n")  # a lone surrogate cannot be encoded
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
 def test_train_is_byte_deterministic(feature_dir, tmp_path, capsys):
     args = [
         "train",
@@ -274,6 +297,25 @@ def test_invalid_model_payload_rejected(tmp_path):
     )
     with pytest.raises(ModelFileError):
         load_model(path)
+
+
+def test_non_finite_model_parameter_rejected_with_path(tmp_path):
+    path = tmp_path / "nan.model"
+    component = {"weight": 1.0, "mean": [float("nan"), 90.0], "covariance": [1.0, 0.0, 0.0, 1.0]}
+    path.write_text(
+        json.dumps({"relation": "near", "component_count": 1, "components": [component]}),
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelFileError, match="nan.model.*finite"):
+        load_model(path)
+
+
+def test_load_models_dir_rejects_duplicate_labels(tmp_path):
+    model = GmmModel("near", (GaussianComponent(1.0, [1.0, 90.0], np.eye(2)),))
+    save_model(model, tmp_path / "a.model")
+    save_model(model, tmp_path / "b.model")
+    with pytest.raises(ModelFileError, match="b.model.*'near'.*a.model"):
+        load_models_dir(tmp_path)
 
 
 def test_load_models_dir_requires_files(tmp_path):

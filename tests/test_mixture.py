@@ -1,6 +1,10 @@
 """Gaussian mixture densities, EM fitting, and greedy component growth."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from geotri.mixture import (
     InsufficientDataError,
     InvalidParameterError,
     TrainingConfig,
+    _component_logpdf,
+    _logsumexp,
     derive_seed,
     em_fit,
     gaussian_pdf,
@@ -58,6 +64,67 @@ def test_component_validation():
         GaussianComponent(1.5, [0.0, 0.0], np.eye(2))
     with pytest.raises(InvalidParameterError):
         GaussianComponent(0.5, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+    for weight in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            GaussianComponent(weight, [1.0, 90.0], np.eye(2))
+    for mean, cov in (
+        ([math.nan, 90.0], np.eye(2)),
+        ([1.0, math.inf], np.eye(2)),
+        ([1.0, 90.0], [[math.inf, 0.0], [0.0, 1.0]]),
+        ([1.0, 90.0], [[1.0, math.nan], [math.nan, 1.0]]),
+    ):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GaussianComponent(0.5, mean, cov)
+
+
+def test_logsumexp_keeps_all_neg_inf_column():
+    stacked = np.array([[-np.inf, 0.0, -np.inf], [-np.inf, -1.0, 2.0]])
+    out = _logsumexp(stacked)
+    assert np.isneginf(out[0])
+    assert out[1] == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-15)
+    assert out[2] == 2.0
+
+
+def test_logsumexp_matches_naive_reference():
+    rng = np.random.default_rng(3)
+    for rows in (1, 2, 5):
+        stacked = rng.uniform(-30.0, 30.0, size=(rows, 200))
+        naive = np.log(np.exp(stacked).sum(axis=0))
+        np.testing.assert_allclose(_logsumexp(stacked), naive, rtol=0.0, atol=1e-12)
+
+
+def test_component_logpdf_matches_inverse_determinant_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a = rng.normal(size=(2, 2))
+        cov = a @ a.T + 0.1 * np.eye(2)
+        mean = rng.normal(size=2)
+        x = mean + rng.normal(size=(20, 2))
+        diff = x - mean
+        quad = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(cov), diff)
+        naive = -math.log(2.0 * math.pi) - 0.5 * math.log(np.linalg.det(cov)) - 0.5 * quad
+        np.testing.assert_allclose(_component_logpdf(x, mean, cov), naive, rtol=0.0, atol=1e-12)
+
+
+def test_package_trains_and_scores_without_scipy():
+    # A None entry in sys.modules makes any "import scipy" raise ImportError.
+    script = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from geotri import greedy_train, make_grid, score_point, TrainingConfig
+from geotri.synth import CITY_BBOX, sample_training_data
+data = sample_training_data(60, seed=1)
+models = {label: greedy_train(x, label, TrainingConfig(max_components=2, seed=1)) for label, x in data.items()}
+surface = score_point((40.09, 116.12), make_grid(CITY_BBOX, 6), models)
+assert np.isfinite(surface.region_likelihoods).all()
+print("ok")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
 
 
 def test_model_needs_components():
