@@ -36,13 +36,7 @@ from .mixture import (
     gmm_log_likelihood,
     greedy_train,
 )
-from .predict import (
-    make_grid,
-    prediction_accuracy,
-    score_point,
-    surface_to_csv,
-    surface_to_geojson,
-)
+from .predict import make_grid, prediction_accuracy, score_point, surface_to_csv, surface_to_geojson
 
 __all__ = ["ModelFileError", "load_model", "load_models_dir", "main", "run", "save_model"]
 

@@ -12,6 +12,7 @@ degrees and north at 90. Coincident points take orientation 0 by convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +162,7 @@ def write_training_set(training_set: TrainingSet, path) -> None:
 
 
 def load_feature_array(path: str) -> np.ndarray:
-    """Read a training-set TSV back into an (n, 2) array."""
+    """Read a training-set TSV back into an (n, 2) array of finite values."""
     rows: list[tuple[float, float]] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -170,5 +171,8 @@ def load_feature_array(path: str) -> np.ndarray:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-            rows.append((float(fields[0]), float(fields[1])))
+            row = (float(fields[0]), float(fields[1]))
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite feature value: {line.strip()}")
+            rows.append(row)
     return np.array(rows, dtype=float) if rows else np.empty((0, 2), dtype=float)

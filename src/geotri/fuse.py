@@ -22,7 +22,7 @@ import numpy as np
 from .atomic import write_text
 from .features import feature_components
 from .gazetteer import Poi
-from .predict import Grid, _column_fsum, make_grid
+from .predict import Grid, check_grid, make_grid
 
 __all__ = [
     "Estimate",
@@ -55,6 +55,7 @@ class Scenario:
         object.__setattr__(self, "observations", tuple(self.observations))
         if not self.observations:
             raise ValueError("a scenario needs at least one observation")
+        check_grid(self.bbox, self.dim)
         min_lat, min_lon, max_lat, max_lon = self.bbox
         for label, landmark in self.observations:
             if not label:
@@ -105,9 +106,9 @@ def subsample(observations, fraction: float, seed: int) -> list:
 def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusion: str = "product") -> Estimate:
     """Estimate the unknown location from a subsample of the observations.
 
-    Per-vertex evidence is accumulated with compensated sums that make the
-    result independent of observation order; ``fusion='product'`` sums log
-    densities, ``fusion='sum'`` sums raw densities.
+    Per-vertex evidence is summed over observations sorted by value, which
+    makes the result independent of observation order; ``fusion='product'``
+    sums log densities, ``fusion='sum'`` sums raw densities.
     """
     if fusion not in FUSION_MODES:
         raise ValueError(f"fusion must be one of {FUSION_MODES}")
@@ -117,21 +118,23 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
         raise MissingModelError(f"no model for relation label(s): {', '.join(missing)}")
 
     grid = make_grid(scenario.bbox, scenario.dim)
-    lats = grid.vertices[:, 0]
-    lons = grid.vertices[:, 1]
-    per_observation = np.empty((len(used), grid.vertex_count))
-    for row, (label, landmark) in enumerate(used):
-        dist, orient = feature_components(lats, lons, landmark.lat, landmark.lon, grid.origin)
-        per_observation[row] = models[label].logpdf(np.column_stack([dist, orient]))
+    landmarks = np.array([(landmark.lat, landmark.lon) for _, landmark in used])
+    dist, orient = feature_components(*grid.vertices.T, landmarks[:, :1], landmarks[:, 1:], grid.origin)
+    features = np.stack([dist, orient], axis=-1)
+    per_observation = np.empty(dist.shape)
+    for label in sorted({label for label, _ in used}):
+        rows = [row for row, (other, _) in enumerate(used) if other == label]
+        per_observation[rows] = models[label].logpdf(features[rows].reshape(-1, 2)).reshape(len(rows), -1)
+    per_observation.sort(axis=0)  # columns summed in sorted order: observation order cannot matter
 
     if fusion == "product":
-        log_vertex = _column_fsum(per_observation)
+        log_vertex = per_observation.sum(axis=0)
         peak = log_vertex.max()
         if math.isinf(peak):
             raise ValueError("all observations underflowed on every grid vertex")
         vertex_mass = np.exp(log_vertex - peak)
     else:
-        vertex_mass = _column_fsum(np.exp(per_observation))
+        vertex_mass = np.exp(per_observation).sum(axis=0)
         if vertex_mass.max() <= 0.0:
             raise ValueError("all observations underflowed on every grid vertex")
 
@@ -204,4 +207,7 @@ def load_scenario(path: str) -> Scenario:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if bbox is None or dim is None or unknown is None:
         raise ValueError(f"{path}: scenario needs bbox, dim, and unknown header lines")
-    return Scenario(unknown=unknown, observations=tuple(observations), bbox=bbox, dim=dim)
+    try:
+        return Scenario(unknown=unknown, observations=tuple(observations), bbox=bbox, dim=dim)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -7,8 +7,11 @@ point: every vertex in turn acts as the reference landmark, the model whose
 density best explains the point's feature vector relative to that vertex is
 selected, and that model then scores every vertex as a hypothetical subject
 location with the reference held fixed. Scores are accumulated per scored
-vertex (a compensated sum across reference vertices), normalized into a
-vertex distribution, and averaged over each region's four corners.
+vertex (a column sum across reference vertices in fixed order), normalized
+into a vertex distribution, and averaged over each region's four corners.
+The projection is linear in latitude and longitude, so a vertex pair's
+features depend only on its (row, col) offset: each label's density is
+evaluated once per grid over the offsets (see ``_offset_kernels``).
 
 Densities are evaluated in log space and exponentiated only after
 subtracting the surface-wide maximum, so the stored surface is a uniformly
@@ -30,6 +33,7 @@ __all__ = [
     "PredictionTrial",
     "RelationOracle",
     "best_model",
+    "check_grid",
     "make_grid",
     "prediction_accuracy",
     "prediction_trial",
@@ -86,32 +90,26 @@ class Grid:
         return (v[c[:, 0]] + v[c[:, 1]] + v[c[:, 2]] + v[c[:, 3]]) / 4.0
 
 
-def _column_fsum(values: np.ndarray) -> np.ndarray:
-    """Compensated (``math.fsum``) sum of each column of a 2-D array."""
-    return np.array([math.fsum(column) for column in values.T])
-
-
-def make_grid(bbox: tuple[float, float, float, float], dim: int) -> Grid:
-    """Build a ``dim x dim`` vertex grid spanning ``bbox``.
-
-    ``bbox`` is (min_lat, min_lon, max_lat, max_lon); both extents must be
-    non-degenerate and ``dim`` at least 2.
-    """
+def check_grid(bbox: tuple[float, float, float, float], dim: int) -> None:
+    """Reject ``dim`` < 2 and a (min_lat, min_lon, max_lat, max_lon) ``bbox`` with an empty extent."""
     min_lat, min_lon, max_lat, max_lon = bbox
     if dim < 2:
         raise ValueError("grid dim must be >= 2")
     if not (min_lat < max_lat and min_lon < max_lon):
         raise ValueError(f"degenerate bbox: {bbox}")
+
+
+def make_grid(bbox: tuple[float, float, float, float], dim: int) -> Grid:
+    """Build a ``dim x dim`` vertex grid spanning ``bbox`` (see ``check_grid``)."""
+    check_grid(bbox, dim)
+    min_lat, min_lon, max_lat, max_lon = bbox
     lats = np.linspace(min_lat, max_lat, dim)
     lons = np.linspace(min_lon, max_lon, dim)
     grid_lon, grid_lat = np.meshgrid(lons, lats)
     vertices = np.column_stack([grid_lat.ravel(), grid_lon.ravel()])
-    cells = dim - 1
-    regions = np.empty((cells * cells, 4), dtype=int)
-    for row in range(cells):
-        for col in range(cells):
-            base = row * dim + col
-            regions[row * cells + col] = (base, base + 1, base + dim, base + dim + 1)
+    cells = np.arange(dim - 1)
+    base = (cells[:, None] * dim + cells[None, :]).ravel()
+    regions = np.column_stack([base, base + 1, base + dim, base + dim + 1])
     origin = ProjectionOrigin((min_lat + max_lat) / 2.0, (min_lon + max_lon) / 2.0)
     return Grid(tuple(bbox), dim, vertices, regions, origin)
 
@@ -122,7 +120,7 @@ class PredictionSurface:
 
     ``vertex_likelihoods[i, j]`` is the (uniformly scaled) density of vertex
     j as subject with vertex i as reference under the model selected at i;
-    ``fused_vertex`` is the normalized per-vertex accumulation and
+    ``fused_vertex`` is its normalized column sum (over reference vertices) and
     ``region_likelihoods`` its four-corner average per region.
     ``underflow_vertices`` lists reference vertices where every model
     underflowed to zero density and the first label was used as fallback.
@@ -151,8 +149,6 @@ def _select_models(point, grid: Grid, models) -> tuple[list[str], np.ndarray, np
     """
     lat, lon = _latlon(point)
     labels = sorted(models)
-    if not labels:
-        raise ValueError("at least one model is required")
     dist, orient = feature_components(lat, lon, grid.vertices[:, 0], grid.vertices[:, 1], grid.origin)
     point_features = np.column_stack([dist, orient])
     log_densities = np.stack([models[label].logpdf(point_features) for label in labels])
@@ -176,38 +172,45 @@ def best_model(point, ref_vertex, models, origin: ProjectionOrigin) -> str:
     return labels[int(np.argmax(scores))]
 
 
-def _pairwise_features(grid: Grid) -> np.ndarray:
-    """(V, V, 2) features of vertex j as subject relative to vertex i."""
-    lats = grid.vertices[:, 0]
-    lons = grid.vertices[:, 1]
+def _offset_kernels(grid: Grid, models) -> np.ndarray:
+    """(L, 2*dim - 1, 2*dim - 1) log-densities of the sorted labels per offset.
+
+    Entry ``[l, dim - 1 + dr, dim - 1 + dc]`` scores a subject ``dr`` rows and
+    ``dc`` columns from its reference, measured from the first row and column
+    so that a zero offset has dy or dx exactly 0, as on the vertices themselves.
+    """
+    if not models:
+        raise ValueError("at least one model is required")
+    dim = grid.dim
+    steps = np.arange(1 - dim, dim)
+    subject, reference = np.maximum(steps, 0), np.maximum(-steps, 0)
+    lats, lons = grid.vertices[::dim, 0], grid.vertices[:dim, 1]
     dist, orient = feature_components(
-        lats[None, :], lons[None, :], lats[:, None], lons[:, None], grid.origin
+        lats[subject, None], lons[subject], lats[reference, None], lons[reference], grid.origin
     )
-    return np.dstack([dist, orient])
+    offsets = np.column_stack([dist.ravel(), orient.ravel()])
+    return np.stack([models[label].logpdf(offsets).reshape(dist.shape) for label in sorted(models)])
 
 
-def score_point(point, grid: Grid, models) -> PredictionSurface:
-    """Score every grid vertex and region as the location of ``point``."""
+def _score(point, grid: Grid, models, kernels: np.ndarray) -> PredictionSurface:
+    """``score_point`` against precomputed ``_offset_kernels(grid, models)``."""
     labels, choice, best_log = _select_models(point, grid, models)
-    v = grid.vertex_count
+    dim, v = grid.dim, grid.vertex_count
     underflow = tuple(int(i) for i in np.flatnonzero(np.isneginf(best_log)))
 
-    pair_features = _pairwise_features(grid).reshape(v * v, 2)
-    log_surface = np.empty((v, v))
-    for index, label in enumerate(labels):
-        rows = choice == index
-        if rows.any():
-            block = pair_features.reshape(v, v, 2)[rows].reshape(-1, 2)
-            log_surface[rows] = models[label].logpdf(block).reshape(-1, v)
+    rows, cols = np.divmod(np.arange(v), dim)
+    windows = np.lib.stride_tricks.sliding_window_view(kernels, (dim, dim), axis=(1, 2))
+    log_surface = windows[choice, dim - 1 - rows, dim - 1 - cols].reshape(v, v)
 
     peak = log_surface.max()
     if math.isinf(peak):
         scaled = np.ones((v, v))
         underflow = tuple(range(v))
     else:
-        scaled = np.exp(log_surface - peak)
+        log_surface -= peak  # in place: the gather above made a fresh V x V array
+        scaled = np.exp(log_surface, out=log_surface)
 
-    column_sums = _column_fsum(scaled)
+    column_sums = scaled.sum(axis=0)
     fused = column_sums / math.fsum(column_sums)
     return PredictionSurface(
         vertex_likelihoods=scaled,
@@ -218,10 +221,14 @@ def score_point(point, grid: Grid, models) -> PredictionSurface:
     )
 
 
+def score_point(point, grid: Grid, models) -> PredictionSurface:
+    """Score every grid vertex and region as the location of ``point``."""
+    return _score(point, grid, models, _offset_kernels(grid, models))
+
+
 def region_ranking(region_likelihoods: np.ndarray) -> list[int]:
     """Region indices from most to least likely; ties favor the lower index."""
-    order = sorted(range(len(region_likelihoods)), key=lambda r: (-region_likelihoods[r], r))
-    return order
+    return np.argsort(-np.asarray(region_likelihoods), kind="stable").tolist()
 
 
 def topk_hit(surface: PredictionSurface, point, grid: Grid, k: int) -> bool:
@@ -268,13 +275,14 @@ def prediction_trial(
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     grid = make_grid(bbox, dim)
+    kernels = _offset_kernels(grid, models)
     rng = np.random.default_rng(seed)
     lats = rng.uniform(bbox[0], bbox[2], n_points)
     lons = rng.uniform(bbox[1], bbox[3], n_points)
     ranks: list[int] = []
     log: list[tuple[tuple[float, float], tuple[float, float], str]] = []
     for lat, lon in zip(lats, lons):
-        surface = score_point((lat, lon), grid, models)
+        surface = _score((lat, lon), grid, models, kernels)
         order = region_ranking(surface.region_likelihoods)
         ranks.append(order.index(grid.region_containing(lat, lon)))
         if collect_log:
@@ -363,11 +371,10 @@ def qualitative_accuracy(selection_log, oracle: RelationOracle, origin: Projecti
     entries = list(selection_log)
     if not entries:
         raise ValueError("selection log must be non-empty")
-    correct = 0
-    for (vlat, vlon), (plat, plon), label in entries:
-        distance, orientation = feature_components(plat, plon, vlat, vlon, origin)
-        correct += oracle.is_correct(label, float(distance), float(orientation))
-    return correct / len(entries)
+    references, points, labels = zip(*entries)
+    (vlat, vlon), (plat, plon) = np.array(references).T, np.array(points).T
+    distance, orientation = feature_components(plat, plon, vlat, vlon, origin)
+    return sum(map(oracle.is_correct, labels, distance.tolist(), orientation.tolist())) / len(entries)
 
 
 def surface_to_csv(grid: Grid, region_likelihoods: np.ndarray) -> str:

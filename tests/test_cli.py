@@ -227,6 +227,17 @@ def test_train_summary_reports_fit(feature_dir, tmp_path, capsys):
     assert math.isfinite(float(summary["log_likelihood"]))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_rejects_non_finite_feature_row(tmp_path, capsys, value):
+    features = tmp_path / "near.tsv"
+    features.write_text(f"1.5\t90.0\n{value}\t45.0\n2.5\t180.0\n", encoding="utf-8")
+    out = tmp_path / "near.model"
+    code = run(["train", "--features", str(features), "--relation", "near", "--out", str(out)])
+    assert code == 1
+    assert f"{features}:2: non-finite feature value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_round_trip_is_exact(tmp_path):
     model = GmmModel(
         "near",
@@ -411,6 +422,21 @@ def test_fuse_writes_estimate_and_surface(models_dir, fixtures_dir, tmp_path, ca
     assert len(collection["features"]) == 196
     total = sum(f["properties"]["likelihood"] for f in collection["features"])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("header", ["dim\t1", "dim\t0", "bbox\t40.0\t116.0\t40.0\t116.235"])
+def test_fuse_rejects_scenario_without_grid(models_dir, fixtures_dir, tmp_path, capsys, header):
+    lines = (fixtures_dir / "scenario_demo.tsv").read_text(encoding="utf-8").splitlines()
+    key = header.split("\t")[0]
+    scenario = tmp_path / "scenario.tsv"
+    scenario.write_text("\n".join(header if line.startswith(key + "\t") else line for line in lines) + "\n")
+    out = tmp_path / "estimate"
+    code = run(["fuse", "--scenario", str(scenario), "--models", str(models_dir), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{scenario}: " in err
+    assert ("grid dim must be >= 2" if key == "dim" else "degenerate bbox") in err
+    assert not list(tmp_path.glob("estimate*"))
 
 
 def test_seed_defaults_to_environment(feature_dir, models_dir, monkeypatch, capsys):

@@ -177,3 +177,11 @@ def test_load_feature_array_rejects_bad_rows(tmp_path):
     path.write_text("1.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_feature_array(str(path))
+
+
+@pytest.mark.parametrize("row", ["nan\t90.0", "1.0\tinf", "-inf\t0.0", "1.0\tNaN"])
+def test_load_feature_array_rejects_non_finite_values(tmp_path, row):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"1.0\t2.0\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.tsv:3: non-finite"):
+        load_feature_array(str(path))

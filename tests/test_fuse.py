@@ -17,8 +17,10 @@ from geotri.fuse import (
     save_scenario,
     subsample,
 )
+from geotri.features import feature_components
 from geotri.gazetteer import Poi
 from geotri.mixture import GaussianComponent, GmmModel
+from geotri.predict import make_grid
 from geotri.synth import CITY_BBOX, consistent_scenario, synthetic_city_models
 
 BBOX = CITY_BBOX
@@ -90,6 +92,29 @@ def test_scenario_validation():
         Scenario(Poi("x", 40.1, 116.1), (("", Poi("lm", 40.1, 116.1)),), BBOX, 15)
 
 
+@pytest.mark.parametrize(
+    "bbox, dim, message",
+    [
+        (BBOX, 1, "grid dim must be >= 2"),
+        (BBOX, 0, "grid dim must be >= 2"),
+        ((40.1, 116.0, 40.1, 116.235), 15, "degenerate bbox"),
+        ((40.0, 116.1, 40.18, 116.1), 15, "degenerate bbox"),
+        ((40.18, 116.0, 40.0, 116.235), 15, "degenerate bbox"),
+    ],
+)
+def test_scenario_rejects_grid_that_cannot_be_built(tmp_path, bbox, dim, message):
+    observations = (("near", Poi("lm", 40.1, 116.1)),)
+    with pytest.raises(ValueError, match=message):
+        Scenario(Poi("x", 40.1, 116.1), observations, bbox, dim)
+    path = tmp_path / "scenario.tsv"
+    path.write_text(
+        "bbox\t{}\t{}\t{}\t{}\ndim\t{}\nunknown\tx\t40.1\t116.1\nnear\tlm\t40.1\t116.1\n".format(*bbox, dim),
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=f"scenario.tsv: {message}"):
+        load_scenario(str(path))
+
+
 def test_fuse_deterministic():
     scenario = demo_scenario()
     models = synthetic_city_models()
@@ -158,6 +183,29 @@ def test_fuse_observation_order_invariance():
     assert other.center == base.center
     assert other.error_km == base.error_km
     assert np.array_equal(other.region_likelihoods, base.region_likelihoods)
+
+
+@pytest.mark.parametrize("fusion", ["product", "sum"])
+def test_fuse_matches_per_observation_fsum(fusion):
+    scenario = consistent_scenario(60, seed=9, bbox=BBOX, dim=30)
+    models = synthetic_city_models()
+    grid = make_grid(scenario.bbox, scenario.dim)
+    rows = []
+    for label, landmark in scenario.observations:
+        dist, orient = feature_components(
+            grid.vertices[:, 0], grid.vertices[:, 1], landmark.lat, landmark.lon, grid.origin
+        )
+        rows.append(models[label].logpdf(np.column_stack([dist, orient])))
+    per_observation = np.array(rows)
+    if fusion == "product":
+        log_vertex = np.array([math.fsum(column) for column in per_observation.T.tolist()])
+        vertex_mass = np.exp(log_vertex - log_vertex.max())
+    else:
+        vertex_mass = np.array([math.fsum(column) for column in np.exp(per_observation).T.tolist()])
+    region = grid.region_average(vertex_mass / math.fsum(vertex_mass))
+    region = region / math.fsum(region)
+    estimate = fuse(scenario, models, fusion=fusion)
+    assert np.abs(estimate.region_likelihoods - region).max() <= 1e-12 * region.max()
 
 
 def test_fuse_duplicate_observation_sharpens_surface():

@@ -21,9 +21,11 @@ from geotri.predict import (
     surface_to_geojson,
     topk_hit,
 )
-from geotri.synth import CITY_BBOX, UniformDensityModel
+from geotri.synth import CITY_BBOX, UniformDensityModel, synthetic_city_models
 
 BBOX = CITY_BBOX
+# City box, a box about four times wider than tall, and a box near 60 degrees north.
+KERNEL_BBOXES = [CITY_BBOX, (40.0, 116.0, 40.06, 116.35), (59.9, 10.6, 60.08, 10.95)]
 
 
 def diag_model(relation: str, mean, var_d: float, var_o: float, weight: float = 1.0) -> GmmModel:
@@ -64,6 +66,19 @@ def test_grid_region_corner_order():
     assert grid.vertices[bl][1] == grid.vertices[tl][1]
     assert grid.vertices[bl][0] < grid.vertices[tl][0]
     assert grid.vertices[bl][1] < grid.vertices[br][1]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 15, 30, 60])
+def test_grid_regions_match_corner_loop(dim):
+    regions = make_grid(BBOX, dim).regions
+    cells = dim - 1
+    expected = np.empty((cells * cells, 4), dtype=int)
+    for row in range(cells):
+        for col in range(cells):
+            base = row * dim + col
+            expected[row * cells + col] = (base, base + 1, base + dim, base + dim + 1)
+    assert regions.dtype == expected.dtype
+    assert np.array_equal(regions, expected)
 
 
 def test_grid_validation():
@@ -156,6 +171,90 @@ def test_sharp_at_model_peaks_near_point():
         assert float(dist) <= 1.5 * float(cell_km)
 
 
+def direct_surface(point, grid, models):
+    """Reference scoring: every (reference, subject) vertex pair evaluated directly.
+
+    Returns the fused vertex distribution (column sums added with ``math.fsum``),
+    the chosen labels and the underflow vertices.
+    """
+    labels = sorted(models)
+    lats, lons = grid.vertices[:, 0], grid.vertices[:, 1]
+    dist, orient = feature_components(point[0], point[1], lats, lons, grid.origin)
+    selection = np.stack([models[label].logpdf(np.column_stack([dist, orient])) for label in labels])
+    choice = np.argmax(selection, axis=0)
+    underflow = tuple(int(i) for i in np.flatnonzero(np.isneginf(selection.max(axis=0))))
+    pair_dist, pair_orient = feature_components(
+        lats[None, :], lons[None, :], lats[:, None], lons[:, None], grid.origin
+    )
+    pairs = np.stack([pair_dist, pair_orient], axis=-1)
+    log_surface = np.empty(pair_dist.shape)
+    for index, label in enumerate(labels):
+        rows = choice == index
+        log_surface[rows] = models[label].logpdf(pairs[rows].reshape(-1, 2)).reshape(-1, grid.vertex_count)
+    peak = log_surface.max()
+    if math.isinf(peak):
+        scaled = np.ones_like(log_surface)
+        underflow = tuple(range(grid.vertex_count))
+    else:
+        scaled = np.exp(log_surface - peak)
+    columns = np.array([math.fsum(column) for column in scaled.T.tolist()])
+    return columns / math.fsum(columns), tuple(labels[c] for c in choice), underflow
+
+
+@pytest.mark.parametrize("bbox", KERNEL_BBOXES)
+@pytest.mark.parametrize("dim", [2, 7, 15, 30])
+@pytest.mark.parametrize("city", [False, True])
+def test_score_point_matches_direct_pairs(bbox, dim, city):
+    models = synthetic_city_models() if city else demo_models()
+    grid = make_grid(bbox, dim)
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        point = (rng.uniform(bbox[0], bbox[2]), rng.uniform(bbox[1], bbox[3]))
+        fused, labels, underflow = direct_surface(point, grid, models)
+        surface = score_point(point, grid, models)
+        assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
+        assert surface.chosen_labels == labels
+        assert surface.underflow_vertices == underflow
+        if city:
+            top = min(20, grid.region_count)
+            expected = region_ranking(grid.region_average(fused))[:top]
+            assert region_ranking(surface.region_likelihoods)[:top] == expected
+
+
+class WithinStub:
+    """Log density 0 within ``radius_km`` of the reference, -inf beyond."""
+
+    def __init__(self, radius_km: float):
+        self.radius_km = radius_km
+
+    def logpdf(self, points) -> np.ndarray:
+        distance = np.asarray(points, dtype=float).reshape(-1, 2)[:, 0]
+        return np.where(distance <= self.radius_km, 0.0, -np.inf)
+
+
+def test_underflow_at_some_reference_vertices():
+    grid = make_grid(BBOX, 9)
+    point = (40.01, 116.02)
+    models = {"near": WithinStub(7.3), "nearer": WithinStub(3.1)}
+    surface = score_point(point, grid, models)
+    fused, labels, underflow = direct_surface(point, grid, models)
+    # Vertices farther than 7.3 km from the point fall back to the first label.
+    assert 0 < len(surface.underflow_vertices) < grid.vertex_count
+    assert surface.underflow_vertices == underflow
+    assert all(surface.chosen_labels[i] == "near" for i in underflow)
+    assert surface.chosen_labels == labels
+    assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
+
+
+def test_underflow_everywhere_gives_uniform_surface():
+    grid = make_grid(BBOX, 7)
+    surface = score_point((40.1, 116.1), grid, {"nowhere": WithinStub(-1.0), "never": WithinStub(-1.0)})
+    assert surface.underflow_vertices == tuple(range(grid.vertex_count))
+    assert surface.chosen_labels == ("never",) * grid.vertex_count
+    assert np.all(surface.vertex_likelihoods == 1.0)
+    assert np.all(surface.fused_vertex == 1.0 / grid.vertex_count)
+
+
 def test_uniform_stub_surface_is_uniform():
     grid = make_grid(BBOX, 15)
     surface = score_point((40.1, 116.05), grid, {"anywhere": UniformDensityModel()})
@@ -167,6 +266,8 @@ def test_uniform_stub_surface_is_uniform():
 def test_region_ranking_orders_and_breaks_ties_by_index():
     ranking = region_ranking(np.array([0.1, 0.4, 0.4, 0.1]))
     assert ranking == [1, 2, 0, 3]
+    values = np.random.default_rng(3).choice([0.0, 1e-300, 0.25, 0.5], size=200)
+    assert region_ranking(values) == sorted(range(200), key=lambda r: (-values[r], r))
 
 
 def test_topk_hit_monotone_in_k():
@@ -290,6 +391,18 @@ def test_qualitative_accuracy_hand_trace():
     ]
     # north holds, south fails, east holds, "at" fails (2.56 km > 2.5).
     assert qualitative_accuracy(log, RelationOracle(), origin) == pytest.approx(0.5)
+
+
+def test_qualitative_accuracy_matches_per_entry_loop():
+    trial = prediction_trial(synthetic_city_models(), BBOX, 7, 20, seed=5, collect_log=True)
+    grid = trial.grid
+    oracle = RelationOracle(sector_half_width_deg=30.0)
+    correct = 0
+    for (vlat, vlon), (plat, plon), label in trial.selection_log:
+        distance, orientation = feature_components(plat, plon, vlat, vlon, grid.origin)
+        correct += oracle.is_correct(label, float(distance), float(orientation))
+    expected = correct / len(trial.selection_log)
+    assert qualitative_accuracy(trial.selection_log, oracle, grid.origin) == expected
 
 
 def test_qualitative_accuracy_rejects_empty_log():
