@@ -9,7 +9,6 @@ import os
 
 import numpy as np
 
-from geotri.features import ProjectionOrigin
 from geotri.predict import RelationOracle, prediction_trial, qualitative_accuracy
 from geotri.synth import CITY_BBOX, train_city
 
@@ -31,9 +30,6 @@ def parse_args() -> argparse.Namespace:
 def main() -> None:
     args = parse_args()
     ks = [int(k) for k in args.topk.split(",")]
-    origin = ProjectionOrigin(
-        (CITY_BBOX[0] + CITY_BBOX[2]) / 2.0, (CITY_BBOX[1] + CITY_BBOX[3]) / 2.0
-    )
     oracle = RelationOracle()
     accuracy = {name: {k: [] for k in ks} for name in ("baseline", "greedy")}
     qualitative = {"baseline": [], "greedy": []}
@@ -41,19 +37,10 @@ def main() -> None:
         seed = args.seed + offset
         baseline, greedy = train_city(args.n_per_label, seed, args.max_components)
         for name, models in [("baseline", baseline), ("greedy", greedy)]:
-            trial = prediction_trial(
-                models,
-                CITY_BBOX,
-                args.grid_dim,
-                args.points,
-                seed=1000 + seed,
-                collect_log=True,
-            )
+            trial = prediction_trial(models, CITY_BBOX, args.grid_dim, args.points, seed=1000 + seed)
             for k in ks:
                 accuracy[name][k].append(trial.accuracy(k))
-            qualitative[name].append(
-                qualitative_accuracy(trial.selection_log, oracle, origin)
-            )
+            qualitative[name].append(qualitative_accuracy(trial, oracle))
     print(f"seeds={args.seeds} points={args.points} grid_dim={args.grid_dim}")
     header = "model     " + "".join(f"top-{k:<6}" for k in ks) + "qualitative"
     print(header)

@@ -208,6 +208,11 @@ def _cmd_train(args) -> None:
     )
 
 
+def _write_geojson(path: str, grid, region_likelihoods) -> None:
+    # Compact: with ``indent`` json.dumps falls back to its pure-Python encoder.
+    write_text(path, json.dumps(surface_to_geojson(grid, region_likelihoods)) + "\n")
+
+
 def _cmd_predict(args) -> None:
     models = load_models_dir(args.models)
     bbox = _parse_bbox(args.bbox)
@@ -220,10 +225,7 @@ def _cmd_predict(args) -> None:
         surface = score_point(point, grid, models)
         if args.surface_out:
             write_text(args.surface_out + ".csv", surface_to_csv(grid, surface.region_likelihoods))
-            write_text(
-                args.surface_out + ".geojson",
-                json.dumps(surface_to_geojson(grid, surface.region_likelihoods), indent=2) + "\n",
-            )
+            _write_geojson(args.surface_out + ".geojson", grid, surface.region_likelihoods)
         top_region = int(np.argmax(surface.region_likelihoods))
         _summary(
             command="predict",
@@ -254,10 +256,7 @@ def _cmd_fuse(args) -> None:
     estimate = fuse(scenario, models, fraction=args.fraction, seed=args.seed, fusion=args.fusion)
     fields = (args.fraction, *estimate.center, estimate.error_km)
     write_text(args.out + ".tsv", "\t".join(repr(v) for v in fields) + "\n")
-    write_text(
-        args.out + ".geojson",
-        json.dumps(surface_to_geojson(estimate.grid, estimate.region_likelihoods), indent=2) + "\n",
-    )
+    _write_geojson(args.out + ".geojson", estimate.grid, estimate.region_likelihoods)
     _summary(
         command="fuse",
         observations=len(estimate.observations_used),

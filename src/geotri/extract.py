@@ -224,17 +224,18 @@ def tag_entities(tokens: list[str], gaz: Gazetteer, max_span: int = 5) -> list[E
     if max_span < 1:
         raise ValueError("max_span must be >= 1")
     spans: list[EntitySpan] = []
+    punct = [token_class(t) == "PUNCT" for t in tokens]
     i = 0
     n = len(tokens)
     while i < n:
         found = None
         for length in range(min(max_span, n - i), 0, -1):
-            window = tokens[i : i + length]
-            if any(token_class(t) == "PUNCT" for t in window):
+            if any(punct[i : i + length]):
                 continue
-            poi = geocode(" ".join(window), gaz, max_edit=0)
+            surface = " ".join(tokens[i : i + length])
+            poi = geocode(surface, gaz, max_edit=0)
             if poi is not None:
-                found = EntitySpan(i, i + length, " ".join(window), poi)
+                found = EntitySpan(i, i + length, surface, poi)
                 break
         if found is not None:
             spans.append(found)

@@ -99,21 +99,21 @@ def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gaz
     return Gazetteer(entries=entries, name_index=index, skipped_rows=skipped_rows)
 
 
-def load_gazetteer(path: str, fmt: str = "tsv") -> Gazetteer:
+def load_gazetteer(path: str) -> Gazetteer:
     """Load a gazetteer from a TSV file.
 
     Rows are ``name<TAB>alt_names<TAB>lat<TAB>lon`` with alternate names
-    comma-separated (possibly empty). Malformed rows are skipped and counted
-    on the returned object; a file with zero valid rows is an error.
-    Unreadable paths raise the underlying OSError.
+    comma-separated (possibly empty); blank lines and lines starting with
+    ``#`` are comments. Malformed rows are skipped and counted on the
+    returned object; a file with zero valid rows is an error. Unreadable
+    paths raise the underlying OSError.
     """
-    if fmt != "tsv":
-        raise ValueError(f"unsupported gazetteer format: {fmt!r}")
     entries: list[GazetteerEntry] = []
     skipped = 0
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            if not line.strip():
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
                 continue
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 4:

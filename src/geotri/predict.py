@@ -21,7 +21,7 @@ scaled copy of the raw densities; every derived quantity is scale-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "PredictionSurface",
     "PredictionTrial",
     "RelationOracle",
-    "best_model",
     "check_grid",
     "make_grid",
     "prediction_accuracy",
@@ -140,36 +139,31 @@ def _latlon(point) -> tuple[float, float]:
     return float(lat), float(lon)
 
 
-def _select_models(point, grid: Grid, models) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Per reference vertex, pick the label whose density best explains the point.
+# Point x vertex pairs per model-selection block of a trial, so its feature and
+# log-density arrays stay a few MB at any grid dim.
+_SELECT_PAIRS = 1 << 15
 
-    Returns the lexicographically sorted labels, the chosen label index per
-    vertex (ties resolve to the first, i.e. smallest, label), and the
-    per-vertex maximum log-density used for underflow detection.
+
+def _point_features(points: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(P, V) distance and orientation of each (lat, lon) row of ``points`` from each vertex."""
+    return feature_components(
+        points[:, :1], points[:, 1:], grid.vertices[:, 0], grid.vertices[:, 1], grid.origin
+    )
+
+
+def _select_models(points: np.ndarray, grid: Grid, models) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Per point and reference vertex, pick the label whose density best explains the point.
+
+    ``points`` is a (P, 2) array of (lat, lon) rows. Returns the
+    lexicographically sorted labels, the (P, V) chosen label index (ties
+    resolve to the first, i.e. smallest, label), and the (P, V) maximum
+    log-density used for underflow detection.
     """
-    lat, lon = _latlon(point)
     labels = sorted(models)
-    dist, orient = feature_components(lat, lon, grid.vertices[:, 0], grid.vertices[:, 1], grid.origin)
-    point_features = np.column_stack([dist, orient])
-    log_densities = np.stack([models[label].logpdf(point_features) for label in labels])
+    dist, orient = _point_features(points, grid)
+    features = np.column_stack([dist.ravel(), orient.ravel()])
+    log_densities = np.stack([models[label].logpdf(features).reshape(dist.shape) for label in labels])
     return labels, np.argmax(log_densities, axis=0), np.max(log_densities, axis=0)
-
-
-def best_model(point, ref_vertex, models, origin: ProjectionOrigin) -> str:
-    """Label of the model maximizing density of the point relative to one vertex.
-
-    Ties break lexicographically; if every model underflows to zero density
-    the lexicographically first label is returned.
-    """
-    lat, lon = _latlon(point)
-    vlat, vlon = _latlon(ref_vertex)
-    labels = sorted(models)
-    if not labels:
-        raise ValueError("at least one model is required")
-    dist, orient = feature_components(lat, lon, vlat, vlon, origin)
-    x = np.array([[float(dist), float(orient)]])
-    scores = [float(models[label].logpdf(x)[0]) for label in labels]
-    return labels[int(np.argmax(scores))]
 
 
 def _offset_kernels(grid: Grid, models) -> np.ndarray:
@@ -192,9 +186,11 @@ def _offset_kernels(grid: Grid, models) -> np.ndarray:
     return np.stack([models[label].logpdf(offsets).reshape(dist.shape) for label in sorted(models)])
 
 
-def _score(point, grid: Grid, models, kernels: np.ndarray) -> PredictionSurface:
-    """``score_point`` against precomputed ``_offset_kernels(grid, models)``."""
-    labels, choice, best_log = _select_models(point, grid, models)
+def _score(grid: Grid, kernels: np.ndarray, choice: np.ndarray, best_log: np.ndarray):
+    """Scaled V x V surface, fused vertex distribution and underflow vertices of one point.
+
+    ``choice`` and ``best_log`` are its rows of ``_select_models``.
+    """
     dim, v = grid.dim, grid.vertex_count
     underflow = tuple(int(i) for i in np.flatnonzero(np.isneginf(best_log)))
 
@@ -211,19 +207,21 @@ def _score(point, grid: Grid, models, kernels: np.ndarray) -> PredictionSurface:
         scaled = np.exp(log_surface, out=log_surface)
 
     column_sums = scaled.sum(axis=0)
-    fused = column_sums / math.fsum(column_sums)
-    return PredictionSurface(
-        vertex_likelihoods=scaled,
-        fused_vertex=fused,
-        region_likelihoods=grid.region_average(fused),
-        chosen_labels=tuple(labels[i] for i in choice),
-        underflow_vertices=underflow,
-    )
+    return scaled, column_sums / math.fsum(column_sums), underflow
 
 
 def score_point(point, grid: Grid, models) -> PredictionSurface:
     """Score every grid vertex and region as the location of ``point``."""
-    return _score(point, grid, models, _offset_kernels(grid, models))
+    kernels = _offset_kernels(grid, models)
+    labels, choices, best_log = _select_models(np.array([_latlon(point)]), grid, models)
+    scaled, fused, underflow = _score(grid, kernels, choices[0], best_log[0])
+    return PredictionSurface(
+        vertex_likelihoods=scaled,
+        fused_vertex=fused,
+        region_likelihoods=grid.region_average(fused),
+        chosen_labels=tuple(labels[i] for i in choices[0]),
+        underflow_vertices=underflow,
+    )
 
 
 def region_ranking(region_likelihoods: np.ndarray) -> list[int]:
@@ -231,10 +229,14 @@ def region_ranking(region_likelihoods: np.ndarray) -> list[int]:
     return np.argsort(-np.asarray(region_likelihoods), kind="stable").tolist()
 
 
+def _check_k(k: int, region_count: int) -> None:
+    if not (1 <= k <= region_count):
+        raise ValueError(f"k must lie in [1, {region_count}]")
+
+
 def topk_hit(surface: PredictionSurface, point, grid: Grid, k: int) -> bool:
     """True when the region containing the point ranks in the top k."""
-    if not (1 <= k <= grid.region_count):
-        raise ValueError(f"k must lie in [1, {grid.region_count}]")
+    _check_k(k, grid.region_count)
     lat, lon = _latlon(point)
     target = grid.region_containing(lat, lon)
     return target in region_ranking(surface.region_likelihoods)[:k]
@@ -246,20 +248,18 @@ class PredictionTrial:
 
     ``ranks[p]`` is the rank (0-based) of point p's true region in its
     surface's ordering, so the top-k accuracy is ``mean(rank < k)``.
-    ``selection_log`` holds (ref_vertex_latlon, point_latlon, label) for
-    every model selection when collected.
+    ``choices[p, i]`` indexes ``labels`` (sorted) with the model selected
+    for point p at reference vertex i.
     """
 
     grid: Grid
     points: np.ndarray
     ranks: list[int]
-    selection_log: list[tuple[tuple[float, float], tuple[float, float], str]] = field(
-        default_factory=list
-    )
+    labels: tuple[str, ...]
+    choices: np.ndarray
 
     def accuracy(self, k: int) -> float:
-        if not (1 <= k <= self.grid.region_count):
-            raise ValueError(f"k must lie in [1, {self.grid.region_count}]")
+        _check_k(k, self.grid.region_count)
         return sum(rank < k for rank in self.ranks) / len(self.ranks)
 
 
@@ -269,29 +269,27 @@ def prediction_trial(
     dim: int,
     n_points: int,
     seed: int,
-    collect_log: bool = False,
 ) -> PredictionTrial:
-    """Score ``n_points`` uniform random points over the bbox grid."""
+    """Score ``n_points`` uniform random points over the bbox grid, selecting models per block."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     grid = make_grid(bbox, dim)
     kernels = _offset_kernels(grid, models)
     rng = np.random.default_rng(seed)
-    lats = rng.uniform(bbox[0], bbox[2], n_points)
-    lons = rng.uniform(bbox[1], bbox[3], n_points)
+    points = np.column_stack([rng.uniform(bbox[0], bbox[2], n_points), rng.uniform(bbox[1], bbox[3], n_points)])
+    labels = sorted(models)
+    choices = np.empty((n_points, grid.vertex_count), dtype=np.min_scalar_type(len(labels)))
+    block = max(1, _SELECT_PAIRS // grid.vertex_count)
     ranks: list[int] = []
-    log: list[tuple[tuple[float, float], tuple[float, float], str]] = []
-    for lat, lon in zip(lats, lons):
-        surface = _score((lat, lon), grid, models, kernels)
-        order = region_ranking(surface.region_likelihoods)
-        ranks.append(order.index(grid.region_containing(lat, lon)))
-        if collect_log:
-            point = (float(lat), float(lon))
-            log.extend(
-                ((float(vlat), float(vlon)), point, label)
-                for (vlat, vlon), label in zip(grid.vertices, surface.chosen_labels)
-            )
-    return PredictionTrial(grid, np.column_stack([lats, lons]), ranks, log)
+    for start in range(0, n_points, block):
+        chunk = points[start : start + block]
+        _, choice, best_log = _select_models(chunk, grid, models)
+        choices[start : start + block] = choice
+        for (lat, lon), row, best in zip(chunk, choice, best_log):
+            _, fused, _ = _score(grid, kernels, row, best)
+            order = region_ranking(grid.region_average(fused))
+            ranks.append(order.index(grid.region_containing(lat, lon)))
+    return PredictionTrial(grid, points, ranks, tuple(labels), choices)
 
 
 def prediction_accuracy(
@@ -303,6 +301,8 @@ def prediction_accuracy(
     seed: int,
 ) -> float:
     """Fraction of uniform random points whose region lands in the top k."""
+    check_grid(bbox, dim)
+    _check_k(k, (dim - 1) ** 2)
     return prediction_trial(models, bbox, dim, n_points, seed).accuracy(k)
 
 
@@ -366,15 +366,14 @@ class RelationOracle:
         return False
 
 
-def qualitative_accuracy(selection_log, oracle: RelationOracle, origin: ProjectionOrigin) -> float:
-    """Fraction of logged selections whose label predicate actually holds."""
-    entries = list(selection_log)
-    if not entries:
-        raise ValueError("selection log must be non-empty")
-    references, points, labels = zip(*entries)
-    (vlat, vlon), (plat, plon) = np.array(references).T, np.array(points).T
-    distance, orientation = feature_components(plat, plon, vlat, vlon, origin)
-    return sum(map(oracle.is_correct, labels, distance.tolist(), orientation.tolist())) / len(entries)
+def qualitative_accuracy(trial: PredictionTrial, oracle: RelationOracle) -> float:
+    """Fraction of a trial's label choices whose predicate holds for the point seen from the vertex."""
+    if trial.choices.size == 0:
+        raise ValueError("trial must hold at least one label choice")
+    distance, orientation = _point_features(trial.points, trial.grid)
+    labels = map(trial.labels.__getitem__, trial.choices.ravel().tolist())
+    correct = sum(map(oracle.is_correct, labels, distance.ravel().tolist(), orientation.ravel().tolist()))
+    return correct / trial.choices.size
 
 
 def surface_to_csv(grid: Grid, region_likelihoods: np.ndarray) -> str:

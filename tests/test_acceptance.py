@@ -13,7 +13,6 @@ import pytest
 
 from geotri.cli import run
 from geotri.extract import extract_triplets
-from geotri.features import ProjectionOrigin
 from geotri.fuse import fuse
 from geotri.mixture import (
     GaussianComponent,
@@ -165,19 +164,16 @@ def test_criterion_5_normalization(capfd):
 
 
 def test_criterion_6_optimized_beats_baseline(capfd):
-    origin = ProjectionOrigin(
-        (CITY_BBOX[0] + CITY_BBOX[2]) / 2.0, (CITY_BBOX[1] + CITY_BBOX[3]) / 2.0
-    )
     oracle = RelationOracle()
     accuracy = {"baseline": {k: [] for k in K_VALUES}, "greedy": {k: [] for k in K_VALUES}}
     qualitative = {"baseline": [], "greedy": []}
     for seed in range(5):
         baseline, greedy = city(seed)
         for name, models in [("baseline", baseline), ("greedy", greedy)]:
-            trial = prediction_trial(models, CITY_BBOX, 15, 200, seed=1000 + seed, collect_log=True)
+            trial = prediction_trial(models, CITY_BBOX, 15, 200, seed=1000 + seed)
             for k in K_VALUES:
                 accuracy[name][k].append(trial.accuracy(k))
-            qualitative[name].append(qualitative_accuracy(trial.selection_log, oracle, origin))
+            qualitative[name].append(qualitative_accuracy(trial, oracle))
     mean_acc = {
         name: {k: float(np.mean(values)) for k, values in per_k.items()}
         for name, per_k in accuracy.items()

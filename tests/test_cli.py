@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from geotri import predict
 from geotri.atomic import write_text
 from geotri.cli import ModelFileError, load_model, load_models_dir, run, save_model
 from geotri.mixture import GaussianComponent, GmmModel, gaussian_pdf
+from geotri.predict import make_grid, score_point, surface_to_geojson
 
 FIXTURE_ARGS = None  # set lazily via the fixtures_dir fixture
 
@@ -360,6 +362,9 @@ def test_predict_point_surface_export(models_dir, tmp_path, capsys):
     collection = json.loads((tmp_path / "surface.geojson").read_text())
     assert collection["type"] == "FeatureCollection"
     assert len(collection["features"]) == 196
+    grid = make_grid((40.0, 116.0, 40.18, 116.235), 15)
+    surface = score_point((40.09, 116.12), grid, load_models_dir(models_dir))
+    assert collection == surface_to_geojson(grid, surface.region_likelihoods)
 
 
 def test_predict_accuracy_summary(models_dir, capsys):
@@ -384,6 +389,17 @@ def test_predict_accuracy_summary(models_dir, capsys):
     summary = parse_summary(capsys)
     assert 0.0 <= float(summary["accuracy"]) <= 1.0
     assert summary["seed"] == "3"
+
+
+def test_predict_rejects_bad_topk_before_scoring(models_dir, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("a point was scored")
+
+    monkeypatch.setattr(predict, "_score", fail)
+    bbox = "40.0,116.0,40.18,116.235"
+    code = run(["predict", "--models", str(models_dir), "--bbox", bbox, "--points", "2000", "--topk", "0"])
+    assert code == 1
+    assert "k must lie in [1, 196]" in capsys.readouterr().err
 
 
 def test_predict_rejects_bad_bbox(models_dir, capsys):

@@ -180,9 +180,16 @@ def test_load_rejects_empty_file(tmp_path):
         load_gazetteer(str(path))
 
 
-def test_load_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        load_gazetteer(str(tmp_path / "gaz.tsv"), fmt="csv")
+def test_load_ignores_comment_lines(tmp_path):
+    path = tmp_path / "gaz.tsv"
+    path.write_text(
+        "# name\talts\tlat\tlon\nBoston\t\t42.36\t-71.06\n  #Bostonia\tBean Town\t10\t10\n",
+        encoding="utf-8",
+    )
+    gaz = load_gazetteer(str(path))
+    assert [entry.name for entry in gaz.entries] == ["Boston"]
+    assert gaz.skipped_rows == 0
+    assert geocode("Bean Town", gaz, 0) is None
 
 
 def test_load_missing_file_raises_oserror(tmp_path):

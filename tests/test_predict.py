@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geotri import predict
 from geotri.features import ProjectionOrigin, feature_components
 from geotri.mixture import GaussianComponent, GmmModel
 from geotri.predict import (
+    PredictionTrial,
     RelationOracle,
-    best_model,
     make_grid,
+    prediction_accuracy,
     prediction_trial,
     qualitative_accuracy,
     region_ranking,
@@ -118,6 +120,19 @@ def test_surface_regions_match_corner_average_oracle():
         assert abs(surface.region_likelihoods[index] - oracle) <= 1e-12
 
 
+def best_model(point, ref_vertex, models, origin: ProjectionOrigin) -> str:
+    """Reference selection at one vertex: the label maximizing the point's density.
+
+    Ties break lexicographically; if every model underflows to zero density
+    the lexicographically first label is returned.
+    """
+    labels = sorted(models)
+    dist, orient = feature_components(point[0], point[1], ref_vertex[0], ref_vertex[1], origin)
+    x = np.array([[float(dist), float(orient)]])
+    scores = [float(models[label].logpdf(x)[0]) for label in labels]
+    return labels[int(np.argmax(scores))]
+
+
 def test_surface_chosen_labels_match_best_model():
     grid = make_grid(BBOX, 7)
     models = demo_models()
@@ -127,22 +142,22 @@ def test_surface_chosen_labels_match_best_model():
         assert label == best_model(point, (vertex[0], vertex[1]), models, grid.origin)
 
 
-def test_best_model_prefers_denser_label():
-    origin = ProjectionOrigin(40.09, 116.1175)
+def test_selection_prefers_denser_label():
+    # On the dim-3 city grid, vertex 4 is the bbox center (40.09, 116.1175).
+    grid = make_grid(BBOX, 3)
     models = demo_models()
-    vertex = (40.09, 116.1175)
     nearby = (40.097, 116.1175)
     faraway = (40.13, 116.1175)
-    assert best_model(nearby, vertex, models, origin) == "at"
-    assert best_model(faraway, vertex, models, origin) == "near"
+    assert score_point(nearby, grid, models).chosen_labels[4] == "at"
+    assert score_point(faraway, grid, models).chosen_labels[4] == "near"
 
 
-def test_best_model_tie_breaks_on_sorted_label():
-    origin = ProjectionOrigin(40.09, 116.1175)
+def test_selection_tie_breaks_on_sorted_label():
+    grid = make_grid(BBOX, 3)
     same = diag_model("zeta", [1.0, 180.0], 1.0, 100.0)
     clone = diag_model("alpha", [1.0, 180.0], 1.0, 100.0)
-    label = best_model((40.1, 116.1175), (40.09, 116.1175), {"zeta": same, "alpha": clone}, origin)
-    assert label == "alpha"
+    surface = score_point((40.1, 116.1175), grid, {"zeta": same, "alpha": clone})
+    assert surface.chosen_labels == ("alpha",) * grid.vertex_count
 
 
 def test_score_point_requires_models():
@@ -298,13 +313,37 @@ def test_prediction_trial_reproducible_and_bounded():
     assert first.accuracy(10) >= accuracy
 
 
-def test_prediction_trial_collects_selection_log():
-    trial = prediction_trial(demo_models(), BBOX, 5, 3, seed=1, collect_log=True)
-    assert len(trial.selection_log) == 3 * 25
-    (vlat, vlon), (plat, plon), label = trial.selection_log[0]
-    assert label in ("at", "near")
-    assert BBOX[0] <= vlat <= BBOX[2] and BBOX[1] <= vlon <= BBOX[3]
-    assert BBOX[0] <= plat <= BBOX[2] and BBOX[1] <= plon <= BBOX[3]
+def test_prediction_trial_keeps_label_choices():
+    trial = prediction_trial(demo_models(), BBOX, 5, 3, seed=1)
+    assert trial.labels == ("at", "near")
+    assert trial.choices.shape == (3, 25)
+    assert trial.choices.dtype == np.uint8
+    assert trial.choices.max() <= 1
+
+
+@pytest.mark.parametrize("dim", [7, 15, 30])
+def test_prediction_trial_choices_and_ranks_match_score_point(dim):
+    # More points than one selection block holds, and not a multiple of it.
+    n_points = predict._SELECT_PAIRS // (dim * dim) + 3
+    models = synthetic_city_models()
+    trial = prediction_trial(models, BBOX, dim, n_points, seed=dim)
+    grid = trial.grid
+    assert trial.choices.shape == (n_points, grid.vertex_count)
+    for point, choice, rank in zip(trial.points, trial.choices, trial.ranks):
+        surface = score_point(point, grid, models)
+        assert tuple(trial.labels[c] for c in choice) == surface.chosen_labels
+        target = grid.region_containing(point[0], point[1])
+        assert rank == region_ranking(surface.region_likelihoods).index(target)
+
+
+@pytest.mark.parametrize("k", [0, 37])
+def test_prediction_accuracy_rejects_bad_k_before_scoring(k, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a point was scored")
+
+    monkeypatch.setattr(predict, "_score", fail)
+    with pytest.raises(ValueError, match=r"k must lie in \[1, 36\]"):
+        prediction_accuracy(demo_models(), BBOX, 7, 2000, k, seed=1)
 
 
 def test_surface_csv_layout():
@@ -380,34 +419,37 @@ def test_oracle_from_file_rejects_unknown_keys(tmp_path):
 
 
 def test_qualitative_accuracy_hand_trace():
-    origin = ProjectionOrigin(40.0, 116.0)
-    north_point = (40.02, 116.0)
-    east_point = (40.0, 116.03)
-    log = [
-        ((40.0, 116.0), north_point, "north of"),
-        ((40.0, 116.0), north_point, "south of"),
-        ((40.0, 116.0), east_point, "east of"),
-        ((40.0, 116.0), east_point, "at"),
-    ]
-    # north holds, south fails, east holds, "at" fails (2.56 km > 2.5).
-    assert qualitative_accuracy(log, RelationOracle(), origin) == pytest.approx(0.5)
+    # Vertices 0 (40.0, 116.0), 1 (40.0, 116.03), 2 (40.02, 116.0), 3 (40.02, 116.03);
+    # the origin is the center (40.01, 116.015). The one point sits on vertex 0.
+    grid = make_grid((40.0, 116.0, 40.02, 116.03), 2)
+    labels = ("at", "north of", "south of", "southwest of")
+    trial = PredictionTrial(grid, np.array([[40.0, 116.0]]), [0], labels, np.array([[1, 0, 2, 3]], dtype=np.uint8))
+    # Vertex 0: "north of" fails (coincident, so orientation 0, 90 degrees off north).
+    # Vertex 1: "at" fails (6371 * cos(40.01 deg) * 0.03 deg in radians = 2.555 km > 2.5).
+    # Vertex 2: "south of" holds (due south, 270 degrees).
+    # Vertex 3: "southwest of" holds (atan2(-2.224, -2.555) = 221.0 degrees, 4 from 225).
+    # Two of four hold.
+    assert qualitative_accuracy(trial, RelationOracle()) == 0.5
 
 
 def test_qualitative_accuracy_matches_per_entry_loop():
-    trial = prediction_trial(synthetic_city_models(), BBOX, 7, 20, seed=5, collect_log=True)
+    trial = prediction_trial(synthetic_city_models(), BBOX, 7, 20, seed=5)
     grid = trial.grid
     oracle = RelationOracle(sector_half_width_deg=30.0)
     correct = 0
-    for (vlat, vlon), (plat, plon), label in trial.selection_log:
-        distance, orientation = feature_components(plat, plon, vlat, vlon, grid.origin)
-        correct += oracle.is_correct(label, float(distance), float(orientation))
-    expected = correct / len(trial.selection_log)
-    assert qualitative_accuracy(trial.selection_log, oracle, grid.origin) == expected
+    for (plat, plon), choice in zip(trial.points, trial.choices):
+        for (vlat, vlon), c in zip(grid.vertices, choice):
+            distance, orientation = feature_components(plat, plon, vlat, vlon, grid.origin)
+            correct += oracle.is_correct(trial.labels[c], float(distance), float(orientation))
+    expected = correct / trial.choices.size
+    assert qualitative_accuracy(trial, oracle) == expected
 
 
 def test_qualitative_accuracy_rejects_empty_log():
+    grid = make_grid(BBOX, 2)
+    trial = PredictionTrial(grid, np.empty((0, 2)), [], ("at",), np.empty((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
-        qualitative_accuracy([], RelationOracle(), ProjectionOrigin(40.0, 116.0))
+        qualitative_accuracy(trial, RelationOracle())
 
 
 @settings(max_examples=30, deadline=None)
