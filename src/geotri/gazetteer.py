@@ -135,27 +135,43 @@ def load_gazetteer(path: str) -> Gazetteer:
     return build_gazetteer(entries, skipped_rows=skipped)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance (insertions, deletions, substitutions all cost 1)."""
+def levenshtein(a: str, b: str, limit: int | None = None) -> int:
+    """Edit distance (insertions, deletions, substitutions all cost 1).
+
+    With ``limit=k`` the result is exact when it is at most k and k + 1
+    otherwise. Only the diagonals t = j - i with |t| + |t + len(a) - len(b)|
+    <= k are filled, because no path costing at most k leaves them (Ukkonen
+    1985), and the scan stops at the first row whose band exceeds k, because
+    cells never decrease along an edit path.
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
+    k = len(a) if limit is None else limit
+    m, skew = len(b), len(a) - len(b)
+    if skew > k:
+        return k + 1
+    over, below, above = k + 1, (k + skew) // 2, (k - skew) // 2
+    row = list(range(m + 1))
     for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion
-                    current[j - 1] + 1,  # insertion
-                    previous[j - 1] + (ca != cb),  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
+        lo = i - below if i > below else 1
+        diag = row[lo - 1]
+        left = low = row[lo - 1] = i if lo == 1 else over
+        for j in range(lo, i + above + 1 if i + above < m else m + 1):
+            up = row[j]
+            cost = diag if ca == b[j - 1] else diag + 1
+            if up < cost:
+                cost = up + 1
+            if left < cost:
+                cost = left + 1
+            row[j] = left = cost
+            diag = up
+            if cost < low:
+                low = cost
+        if low > k:
+            return over
+    return row[m] if row[m] < over else over
 
 
 def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
@@ -163,13 +179,16 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
 
     The winner minimizes edit distance between normalized names (canonical
     and alternates alike); ties prefer the lexicographically smaller
-    canonical name. Returns None when no entry is within ``max_edit``.
+    canonical name. Returns None when no entry is within ``max_edit`` or
+    the name normalizes to the empty string.
     """
     if not name:
         raise ValueError("name must be non-empty")
     if max_edit < 0:
         raise ValueError("max_edit must be >= 0")
     query = normalize_name(name)
+    if not query:
+        return None
     best: tuple[int, str, GazetteerEntry] | None = None
 
     exact = gaz.name_index.get(query)
@@ -179,10 +198,16 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
             if best is None or entry.name < best[1]:
                 best = (0, entry.name, entry)
     elif max_edit > 0:
+        # The bound shrinks to the best distance so far; names at exactly
+        # that distance are still scored, for the tie-break on name.
+        bound = max_edit
         for variant, positions in gaz.name_index.items():
-            dist = levenshtein(query, variant)
-            if dist > max_edit:
+            if abs(len(variant) - len(query)) > bound:
                 continue
+            dist = levenshtein(query, variant, bound)
+            if dist > bound:
+                continue
+            bound = dist
             for pos in positions:
                 entry = gaz.entries[pos]
                 key = (dist, entry.name)

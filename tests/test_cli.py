@@ -103,6 +103,40 @@ def test_geocode_no_match(fixtures_dir, capsys):
     assert parse_summary(capsys)["match"] == "none"
 
 
+def test_geocode_punctuation_only_name_matches_nothing(fixtures_dir, capsys):
+    code = run(
+        [
+            "geocode",
+            "--gazetteer",
+            str(fixtures_dir / "gazetteer.tsv"),
+            "--name",
+            "...",
+            "--max-edit",
+            "6",
+        ]
+    )
+    assert code == 0
+    assert parse_summary(capsys)["match"] == "none"
+
+
+def test_geocode_negative_max_edit_is_usage_error(fixtures_dir, capsys):
+    code = run(
+        [
+            "geocode",
+            "--gazetteer",
+            str(fixtures_dir / "gazetteer.tsv"),
+            "--name",
+            "Boston",
+            "--max-edit",
+            "-1",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "max_edit" in captured.err
+    assert captured.out == ""
+
+
 def test_geocode_missing_gazetteer_is_io_error(tmp_path, capsys):
     code = run(["geocode", "--gazetteer", str(tmp_path / "nope.tsv"), "--name", "Boston"])
     assert code == 2

@@ -1,7 +1,7 @@
 """Gazetteer loading, name normalization, edit distance, and geocoding."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geotri.gazetteer import (
@@ -63,9 +63,18 @@ def test_levenshtein_single_edits():
     assert levenshtein("boston", "bosten") == 1
 
 
-@given(st.text(max_size=12), st.text(max_size=12))
-def test_levenshtein_matches_matrix_oracle(a, b):
-    assert levenshtein(a, b) == edit_matrix(a, b)
+# Two-letter strings share most letters, so their distances often fall inside
+# a small limit and the bounded band is exercised, not only its early exit.
+_TEXTS = st.text(max_size=12) | st.text("ab", max_size=12)
+
+
+@given(_TEXTS, _TEXTS, st.integers(0, 4))
+# The last row still has a cell within the limit; its last cell is 6, not 5.
+@example("aaabbb", "bbbaaa", 4)
+def test_levenshtein_matches_matrix_oracle(a, b, limit):
+    expected = edit_matrix(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(a, b, limit) == (expected if expected <= limit else limit + 1)
 
 
 @given(st.text(max_size=12), st.text(max_size=12))
@@ -147,6 +156,59 @@ def test_geocode_unaffected_by_distant_entries():
 def test_geocode_rejects_empty_query():
     with pytest.raises(ValueError):
         geocode("", small_gazetteer())
+
+
+def test_geocode_rejects_negative_max_edit():
+    with pytest.raises(ValueError, match="max_edit"):
+        geocode("Boston", small_gazetteer(), max_edit=-1)
+
+
+def test_geocode_query_without_letters_matches_nothing():
+    gaz = build_gazetteer([GazetteerEntry("Ab", (), 1.0, 1.0)])
+    # "!!!" normalizes to the empty string, which is two edits from "ab".
+    assert geocode("!!!", gaz, max_edit=2) is None
+    assert geocode("   ", gaz, max_edit=2) is None
+
+
+def brute_force_geocode(name: str, gaz: Gazetteer, max_edit: int) -> Poi | None:
+    # Full scan with the oracle distance: minimum (distance, canonical name),
+    # the first such entry in index order.
+    query = normalize_name(name)
+    hits = [
+        (edit_matrix(query, variant), gaz.entries[pos].name, gaz.entries[pos])
+        for variant, positions in gaz.name_index.items()
+        for pos in positions
+    ]
+    hits = [hit for hit in hits if hit[0] <= max_edit]
+    if not query or not hits:
+        return None
+    entry = min(hits, key=lambda hit: hit[:2])[2]
+    return Poi(entry.name, entry.lat, entry.lon)
+
+
+# Few letters plus case, spaces and punctuation: names collide after
+# normalization ("a-b", "A b") and are often a few edits apart; each
+# gazetteer also gets up to three one-letter respellings of its names.
+_PLACE = st.text("abcAB -.", min_size=1, max_size=7)
+
+
+@st.composite
+def gazetteers(draw):
+    names = draw(st.lists(_PLACE, min_size=1, max_size=6))
+    for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+        at = draw(st.integers(0, len(name) - 1))
+        names.append(name[:at] + draw(st.sampled_from("abc")) + name[at + 1 :])
+    entries = [
+        GazetteerEntry(name, tuple(draw(st.lists(_PLACE, max_size=2))), float(pos), 0.0)
+        for pos, name in enumerate(names)
+    ]
+    return build_gazetteer(entries)
+
+
+@settings(max_examples=300)
+@given(gazetteers(), _PLACE, st.integers(0, 3))
+def test_geocode_matches_brute_force_scan(gaz, query, max_edit):
+    assert geocode(query, gaz, max_edit) == brute_force_geocode(query, gaz, max_edit)
 
 
 def test_load_single_row(tmp_path):
