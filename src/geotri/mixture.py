@@ -6,17 +6,22 @@ Density of one component:
 
 and a mixture scores log L(X) = sum_j log sum_i w_i g(x_j; mu_i, S_i),
 evaluated in log space with log-sum-exp throughout. Training is classic EM
-plus a greedy growth loop: starting from the single-component fit, partition
-the data by maximum responsibility, propose candidate components from random
-pair midpoints inside each partition, tune each candidate with partial EM
-(existing components frozen), insert the one that maximizes the mixed
-log-likelihood, refit with full EM, and keep going while the refit
-log-likelihood clears an acceptance margin and the component budget allows.
-The margin is what makes growth stop on unimodal data: an extra component
-buys only a sampling-noise improvement there, far below ``accept_tol``
-relative, while real structure buys orders of magnitude more.
+plus a greedy growth loop (Verbeek, Vlassis & Krose, Neural Computation
+2003): starting from the single-component fit, partition the data by maximum
+responsibility, propose candidate components from random pair midpoints
+inside each partition, tune the candidates with partial EM (existing
+components frozen), insert the one that maximizes the mixed log-likelihood,
+refit with full EM, and keep going while the refit log-likelihood clears an
+acceptance margin and the component budget allows. The margin is what makes
+growth stop on unimodal data: an extra component buys only a sampling-noise
+improvement there, far below ``accept_tol`` relative, while real structure
+buys orders of magnitude more.
 
-Covariances are kept positive definite by clamping eigenvalues to
+A round's candidates are tuned in lockstep as (candidates, points) arrays;
+each stops on its own gain, as it would alone, and then leaves the arrays.
+The 2x2 covariance maths is closed form, vectorized over components or
+candidates: determinant and quadratic form for densities, eigenvalues
+(a + c)/2 +- hypot((a - c)/2, b) for the floor, which clamps them to
 ``VARIANCE_FLOOR``. Orientation is treated as a plain linear coordinate; a
 cluster straddling the 0/360 wrap simply ends up split across components.
 """
@@ -106,16 +111,14 @@ class GmmModel:
         total = math.fsum(c.weight for c in self.components)
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError(f"weights sum to {total}, expected 1")
-        for c in self.components:
-            eigvals = np.linalg.eigvalsh(c.covariance)
-            if eigvals.min() < VARIANCE_FLOOR * (1.0 - 1e-6):
-                raise InvalidParameterError(
-                    f"covariance eigenvalue {eigvals.min()} below floor {VARIANCE_FLOOR}"
-                )
+        mid, _, _, radius = _eigen_form(_arrays(self.components)[2])
+        lowest = float((mid - radius).min())
+        if lowest < VARIANCE_FLOOR * (1.0 - 1e-6):
+            raise InvalidParameterError(f"covariance eigenvalue {lowest} below floor {VARIANCE_FLOOR}")
 
     def logpdf(self, points) -> np.ndarray:
         """Log mixture density at each row of ``points`` (n, 2)."""
-        return _logsumexp(_log_responsibilities(_as_points(points), *_model_arrays(self)))
+        return _logsumexp(_log_responsibilities(_as_points(points), *_arrays(self.components)))
 
     def pdf(self, points) -> np.ndarray:
         return np.exp(self.logpdf(points))
@@ -157,16 +160,39 @@ def _as_points(data) -> np.ndarray:
     return x
 
 
+def _training_points(data) -> np.ndarray:
+    """``_as_points`` for training data, rejecting a row with a NaN or infinity by index."""
+    x = _as_points(data)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"training data row {row} is not finite: {x[row].tolist()}")
+    return x
+
+
 def _component_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidParameterError(f"covariance not positive definite: {cov.tolist()}") from exc
-    # Forward substitution L z = x - mean on the 2x2 Cholesky factor L.
-    diff = x - mean
-    z0 = diff[:, 0] / chol[0, 0]
-    z1 = (diff[:, 1] - chol[1, 0] * z0) / chol[1, 1]
-    return -_LOG_2PI - math.log(chol[0, 0] * chol[1, 1]) - 0.5 * (z0 * z0 + z1 * z1)
+    """Log density at each row of ``x`` (n, 2): (..., n) for ``mean`` (..., 2), ``cov`` (..., 2, 2)."""
+    return _offset_logpdf(x[:, 0] - mean[..., 0, None], x[:, 1] - mean[..., 1, None], cov)
+
+
+def _offset_logpdf(dx: np.ndarray, dy: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Log density of N(0, cov) at the offsets (dx, dy), each (..., n).
+
+    With cov = [[a, b], [b, c]] and det = ac - b^2 the quadratic form is
+    (c dx^2 - 2b dx dy + a dy^2) / det. The formula would not fail on a
+    covariance that is not positive definite, so a > 0 and det > 0 are checked.
+    """
+    a, b, c = cov[..., 0, 0], cov[..., 1, 0], cov[..., 1, 1]
+    det = a * c - b * b
+    if not (np.all(a > 0.0) and np.all(det > 0.0)):
+        raise InvalidParameterError(f"covariance not positive definite: {cov.tolist()}")
+    scale = -0.5 / det
+    out = (c * scale)[..., None] * dx
+    out += (b / det)[..., None] * dy
+    out *= dx
+    out += (a * scale)[..., None] * (dy * dy)
+    out += (-_LOG_2PI - 0.5 * np.log(det))[..., None]
+    return out
 
 
 def _logsumexp(stacked: np.ndarray) -> np.ndarray:
@@ -197,20 +223,40 @@ def gmm_log_likelihood(data, model: GmmModel) -> float:
     return float(np.sum(model.logpdf(x)))
 
 
+def _eigen_form(cov: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(mid, h, b, r): cov = mid I + [[h, b], [b, -h]] has eigenvalues mid -+ r, r = hypot(h, b)."""
+    a, b, c = cov[..., 0, 0], cov[..., 1, 0], cov[..., 1, 1]
+    half_gap = (a - c) / 2.0
+    return (a + c) / 2.0, half_gap, b, np.hypot(half_gap, b)
+
+
 def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    cov = (cov + cov.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() >= VARIANCE_FLOOR:
+    """Symmetrize 2x2 covariances (..., 2, 2) and clamp their eigenvalues to VARIANCE_FLOOR.
+
+    A matrix already above the floor comes back as its symmetrized input.
+    Otherwise it is rebuilt as lo' P_lo + hi' P_hi from the clamped
+    eigenvalues and the eigenvector projectors, where P_hi - P_lo is
+    [[h, b], [b, -h]] / r (any rotation will do when r = 0).
+    """
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    mid, half_gap, b, radius = _eigen_form(cov)
+    above = mid - radius >= VARIANCE_FLOOR
+    if np.all(above):
         return cov
-    eigvals = np.maximum(eigvals, VARIANCE_FLOOR)
-    floored = (eigvecs * eigvals) @ eigvecs.T
-    return (floored + floored.T) / 2.0
+    low = np.maximum(mid - radius, VARIANCE_FLOOR)
+    high = np.maximum(mid + radius, VARIANCE_FLOOR)
+    centre = (high + low) / 2.0
+    spread = (high - low) / 2.0 / np.where(radius > 0.0, radius, 1.0)
+    floored = np.stack(
+        [centre + spread * half_gap, spread * b, spread * b, centre - spread * half_gap], axis=-1
+    ).reshape(cov.shape)
+    return np.where(above[..., None, None], cov, floored)
 
 
-def _model_arrays(model: GmmModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    weights = np.array([c.weight for c in model.components])
-    means = np.stack([c.mean for c in model.components])
-    covs = np.stack([c.covariance for c in model.components])
+def _arrays(components) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    weights = np.array([c.weight for c in components])
+    means = np.stack([c.mean for c in components])
+    covs = np.stack([c.covariance for c in components])
     return weights, means, covs
 
 
@@ -227,12 +273,26 @@ def _model_from_arrays(
 def _log_responsibilities(
     x: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> np.ndarray:
-    return np.stack(
-        [
-            math.log(w) + _component_logpdf(x, m, c)
-            for w, m, c in zip(weights, means, covs)
-        ]
-    )
+    return np.log(weights)[:, None] + _component_logpdf(x, means, covs)
+
+
+def _m_step(resp: np.ndarray, x: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Means (K, 2), floored covariances (K, 2, 2) and offsets dx, dy (K, n) from the means.
+
+    Row k of ``resp`` (K, n) weights the points and sums to ``totals[k]``.
+    Each sum is a dot product along one row, so no row's result depends on
+    the rows beside it.
+    """
+    x0, x1 = np.ascontiguousarray(x.T)
+    means = np.stack([np.vecdot(resp, x0), np.vecdot(resp, x1)], axis=-1) / totals[:, None]
+    dx = x0 - means[:, :1]
+    dy = x1 - means[:, 1:]
+    weighted = resp * dx
+    s00, s01 = np.vecdot(weighted, dx), np.vecdot(weighted, dy)
+    np.multiply(resp, dy, out=weighted)
+    s11 = np.vecdot(weighted, dy)
+    covs = np.stack([s00, s01, s01, s11], axis=-1).reshape(-1, 2, 2) / totals[:, None, None]
+    return means, _floor_covariance(covs), dx, dy
 
 
 def em_fit(data, model: GmmModel, cfg: TrainingConfig, history: list[float] | None = None) -> GmmModel:
@@ -244,13 +304,13 @@ def em_fit(data, model: GmmModel, cfg: TrainingConfig, history: list[float] | No
     it (a non-decreasing sequence up to floating-point noise, since each
     M-step maximizes the EM lower bound).
     """
-    x = _as_points(data)
+    x = _training_points(data)
     n = x.shape[0]
     if n < model.component_count:
         raise InsufficientDataError(
             f"{n} points cannot support {model.component_count} components"
         )
-    weights, means, covs = _model_arrays(model)
+    weights, means, covs = _arrays(model.components)
     previous = None
     for _ in range(cfg.em_max_iter):
         log_joint = _log_responsibilities(x, weights, means, covs)
@@ -264,10 +324,7 @@ def em_fit(data, model: GmmModel, cfg: TrainingConfig, history: list[float] | No
 
         resp = np.exp(log_joint - log_norm)
         counts = np.maximum(resp.sum(axis=1), 1e-10)
-        means = (resp @ x) / counts[:, None]
-        for k in range(len(weights)):
-            diff = x - means[k]
-            covs[k] = _floor_covariance((resp[k] * diff.T) @ diff / counts[k])
+        means, covs, _, _ = _m_step(resp, x, counts)
         weights = counts / counts.sum()
     return _model_from_arrays(model.relation, weights, means, covs)
 
@@ -283,10 +340,10 @@ def generate_candidates(
     covariance scaled by 1/2 (floored). Candidates carry the insertion
     weight 1/2.
     """
-    x = _as_points(data)
+    x = _training_points(data)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    weights, means, covs = _model_arrays(model)
+    weights, means, covs = _arrays(model.components)
     assignment = np.argmax(_log_responsibilities(x, weights, means, covs), axis=0)
     candidates: list[GaussianComponent] = []
     for k in range(model.component_count):
@@ -301,40 +358,57 @@ def generate_candidates(
     return candidates
 
 
-def _refine_candidate(
-    x: np.ndarray, base_logpdf: np.ndarray, candidate: GaussianComponent, cfg: TrainingConfig
-) -> tuple[GaussianComponent, float]:
-    """Partial EM on one candidate with the current mixture frozen.
+def _refine_candidates(
+    x: np.ndarray, base_logpdf: np.ndarray, candidates: list[GaussianComponent], cfg: TrainingConfig
+) -> tuple[int, GaussianComponent, float]:
+    """Partial EM on all of a round's candidates at once, the current mixture frozen.
 
-    Optimizes the candidate's mixing weight, mean, and covariance against
-    the mixed density (1 - a) p_current + a g_candidate, leaving the
-    current components untouched. Returns the tuned candidate and the
-    mixed log-likelihood it attains.
+    Candidate k tunes its weight a, mean and covariance against the mixed
+    density (1 - a) p + a g_k, where log p = ``base_logpdf``. With
+    d = log a + log g_k - log(1 - a) - log p per point, its responsibilities
+    are sigmoid(d) and its mixed log-likelihood is
+    sum(log p) + n log(1 - a) + sum(softplus(d)). Each candidate stops as it
+    would alone: when its gain falls to ``cfg.em_tol`` relative (keeping that
+    update) or its total responsibility drops below 1e-10 (keeping the one
+    before); it then leaves the live arrays. Returns the index, component and
+    mixed log-likelihood of the first maximum: a tie goes to the earlier
+    candidate and a NaN never wins.
     """
     n = x.shape[0]
-    alpha = candidate.weight
-    mean = candidate.mean
-    cov = candidate.covariance
-    cand_logpdf = _component_logpdf(x, mean, cov)
-    log_mix = np.logaddexp(math.log1p(-alpha) + base_logpdf, math.log(alpha) + cand_logpdf)
-    loglik = float(log_mix.sum())
+    base_total = float(base_logpdf.sum())
+    weights, means, covs = _arrays(candidates)
+
+    def mix(weights, covs, dx, dy):
+        d = _offset_logpdf(dx, dy, covs)
+        d += (np.log(weights) - np.log1p(-weights))[:, None]
+        d -= base_logpdf
+        # Clamping d at -700 changes softplus(d) and sigmoid(d) by under
+        # 1e-300. Then e = exp(-d) is finite, softplus(d) = d + log(1 + e) and
+        # sigmoid(d) = 1 / (1 + e): one exp and one log per point.
+        np.maximum(d, -700.0, out=d)
+        loglik = base_total + n * np.log1p(-weights) + d.sum(axis=1)
+        np.exp(np.negative(d, out=d), out=d)
+        d += 1.0
+        loglik += np.log(d).sum(axis=1)
+        return np.reciprocal(d, out=d), loglik
+
+    resp, loglik = mix(weights, covs, x[:, 0] - means[:, :1], x[:, 1] - means[:, 1:])
+    mixed = loglik.copy()
+    live = np.arange(len(candidates))
     for _ in range(cfg.em_max_iter):
-        resp = np.exp(math.log(alpha) + cand_logpdf - log_mix)
-        total = resp.sum()
-        if total < 1e-10:
+        totals = resp.sum(axis=1)
+        keep = totals >= 1e-10
+        live, resp, totals, loglik = live[keep], resp[keep], totals[keep], loglik[keep]
+        step_weights = np.clip(totals / n, 1e-10, 1.0 - 1e-10)
+        step_means, step_covs, dx, dy = _m_step(resp, x, totals)
+        resp, updated = mix(step_weights, step_covs, dx, dy)
+        weights[live], means[live], covs[live], mixed[live] = step_weights, step_means, step_covs, updated
+        keep = updated - loglik > cfg.em_tol * np.maximum(1.0, np.abs(updated))
+        live, resp, loglik = live[keep], resp[keep], updated[keep]
+        if live.size == 0:
             break
-        alpha = min(max(total / n, 1e-10), 1.0 - 1e-10)
-        mean = (resp @ x) / total
-        diff = x - mean
-        cov = _floor_covariance((resp * diff.T) @ diff / total)
-        cand_logpdf = _component_logpdf(x, mean, cov)
-        log_mix = np.logaddexp(math.log1p(-alpha) + base_logpdf, math.log(alpha) + cand_logpdf)
-        updated = float(log_mix.sum())
-        if updated - loglik <= cfg.em_tol * max(1.0, abs(updated)):
-            loglik = updated
-            break
-        loglik = updated
-    return GaussianComponent(float(alpha), mean, cov), loglik
+    best = int(np.nanargmax(mixed))
+    return best, GaussianComponent(float(weights[best]), means[best], covs[best]), float(mixed[best])
 
 
 def _insert_component(model: GmmModel, candidate: GaussianComponent) -> GmmModel:
@@ -351,12 +425,12 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
     Starts from the EM-converged single-component model. Each round tunes
     every candidate with partial EM (current components frozen, candidate
     weight starting at 1/2), inserts the one with the best mixed
-    log-likelihood, refits with full EM, and accepts the grown model only
-    when it clears ``cfg.accept_tol`` relative improvement; otherwise the
-    previous model is returned. Identical data, config, and seed reproduce
+    log-likelihood (the first on a tie), refits with full EM, and accepts
+    the grown model only when it clears ``cfg.accept_tol`` relative
+    improvement; otherwise the previous model is returned. Identical data, config, and seed reproduce
     the model bit for bit.
     """
-    x = _as_points(data)
+    x = _training_points(data)
     if x.shape[0] < 2:
         raise InsufficientDataError("greedy training needs at least 2 points")
     rng = np.random.default_rng(cfg.seed)
@@ -372,14 +446,7 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
         candidates = generate_candidates(x, current, cfg, rng=rng)
         if not candidates:
             break
-        base = current.logpdf(x)
-        best: GaussianComponent | None = None
-        best_mixed = -np.inf
-        for candidate in candidates:
-            refined, mixed = _refine_candidate(x, base, candidate, cfg)
-            if mixed > best_mixed:
-                best_mixed = mixed
-                best = refined
+        _, best, _ = _refine_candidates(x, current.logpdf(x), candidates, cfg)
         grown = em_fit(x, _insert_component(current, best), cfg)
         grown_ll = gmm_log_likelihood(x, grown)
         if grown_ll <= current_ll + cfg.accept_tol * max(1.0, abs(current_ll)):

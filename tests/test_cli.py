@@ -357,6 +357,17 @@ def test_non_finite_model_parameter_rejected_with_path(tmp_path):
         load_model(path)
 
 
+def test_non_positive_definite_covariance_rejected_with_path(tmp_path):
+    path = tmp_path / "indefinite.model"
+    component = {"weight": 1.0, "mean": [1.0, 90.0], "covariance": [1.0, 2.0, 2.0, 1.0]}
+    path.write_text(
+        json.dumps({"relation": "near", "component_count": 1, "components": [component]}),
+        encoding="utf-8",
+    )
+    with pytest.raises(ModelFileError, match="indefinite.model"):
+        load_model(path)
+
+
 def test_load_models_dir_rejects_duplicate_labels(tmp_path):
     model = GmmModel("near", (GaussianComponent(1.0, [1.0, 90.0], np.eye(2)),))
     save_model(model, tmp_path / "a.model")
