@@ -7,15 +7,22 @@ point: every vertex in turn acts as the reference landmark, the model whose
 density best explains the point's feature vector relative to that vertex is
 selected, and that model then scores every vertex as a hypothetical subject
 location with the reference held fixed. Scores are accumulated per scored
-vertex (a column sum across reference vertices in fixed order), normalized
-into a vertex distribution, and averaged over each region's four corners.
+vertex (a column sum across reference vertices), normalized into a vertex
+distribution, and averaged over each region's four corners.
 The projection is linear in latitude and longitude, so a vertex pair's
 features depend only on its (row, col) offset: each label's density is
-evaluated once per grid over the offsets (see ``_offset_kernels``).
+evaluated once per grid over the offsets (see ``_offset_kernels``), and the
+column sums of a block of points come from matrix products with each
+label's kernel laid out as row-Toeplitz blocks (see ``_score_block``); no
+vertex x vertex surface is built.
 
-Densities are evaluated in log space and exponentiated only after
-subtracting the surface-wide maximum, so the stored surface is a uniformly
-scaled copy of the raw densities; every derived quantity is scale-free.
+Densities are evaluated in log space. Each term of a point's column sums is
+exp(log density - peak), up to rounding, where the peak is the largest log
+density over all of its (reference, subject) pairs, so the surface is a
+uniformly scaled copy of the raw densities and every derived quantity is
+scale-free. A reference vertex where every model's density underflows to
+zero falls back to the first label; if every pair underflows, the surface
+is uniform and every vertex counts as underflowed.
 """
 
 from __future__ import annotations
@@ -84,9 +91,9 @@ class Grid:
         return self.vertices[self.regions].mean(axis=1)
 
     def region_average(self, vertex_values: np.ndarray) -> np.ndarray:
-        """Per region, the mean of its four corner values (summed in corner order)."""
+        """Per region, the mean of its four corner values (summed in corner order) along the last axis."""
         c, v = self.regions, vertex_values
-        return (v[c[:, 0]] + v[c[:, 1]] + v[c[:, 2]] + v[c[:, 3]]) / 4.0
+        return (v[..., c[:, 0]] + v[..., c[:, 1]] + v[..., c[:, 2]] + v[..., c[:, 3]]) / 4.0
 
 
 def check_grid(bbox: tuple[float, float, float, float], dim: int) -> None:
@@ -117,15 +124,14 @@ def make_grid(bbox: tuple[float, float, float, float], dim: int) -> Grid:
 class PredictionSurface:
     """Per-point scoring output.
 
-    ``vertex_likelihoods[i, j]`` is the (uniformly scaled) density of vertex
-    j as subject with vertex i as reference under the model selected at i;
-    ``fused_vertex`` is its normalized column sum (over reference vertices) and
-    ``region_likelihoods`` its four-corner average per region.
-    ``underflow_vertices`` lists reference vertices where every model
-    underflowed to zero density and the first label was used as fallback.
+    ``fused_vertex`` is the normalized column sum, over reference vertices,
+    of each vertex's (uniformly scaled) density as subject under the model
+    selected at the reference; ``region_likelihoods`` is its four-corner
+    average per region. ``underflow_vertices`` lists reference vertices where
+    every model underflowed to zero density and the first label was used as
+    fallback.
     """
 
-    vertex_likelihoods: np.ndarray
     fused_vertex: np.ndarray
     region_likelihoods: np.ndarray
     chosen_labels: tuple[str, ...]
@@ -186,39 +192,112 @@ def _offset_kernels(grid: Grid, models) -> np.ndarray:
     return np.stack([models[label].logpdf(offsets).reshape(dist.shape) for label in sorted(models)])
 
 
-def _score(grid: Grid, kernels: np.ndarray, choice: np.ndarray, best_log: np.ndarray):
-    """Scaled V x V surface, fused vertex distribution and underflow vertices of one point.
+def _row_toeplitz(exp_kernels: np.ndarray, dim: int) -> np.ndarray:
+    """Lay (..., 2*dim - 1, 2*dim - 1) kernels out as (..., dim, (2*dim - 1) * dim) blocks.
 
-    ``choice`` and ``best_log`` are its rows of ``_select_models``.
+    Entry ``[c, k * dim + c2]`` is the kernel's ``[k, c2 - c + dim - 1]``: kernel
+    row k for a reference in column c and a subject in column c2.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(exp_kernels, dim, axis=-1)  # [..., k, s, c2] -> [k, s + c2]
+    shifted = windows[..., ::-1, :]  # (..., k, c, c2)
+    return np.moveaxis(shifted, -3, -2).reshape(*exp_kernels.shape[:-2], dim, (2 * dim - 1) * dim)
+
+
+def _window_max(kernels: np.ndarray, dim: int, axis: int) -> np.ndarray:
+    """Maximum over every length-``dim`` window along ``axis`` (of length 2*dim - 1).
+
+    Each window holds the centre entry, so its maximum is the larger of the
+    running maximum from its start to the centre and from the centre to its end.
+    """
+    a = np.moveaxis(kernels, axis, -1)
+    to_centre = np.maximum.accumulate(a[..., dim - 1 :: -1], axis=-1)[..., ::-1]
+    from_centre = np.maximum.accumulate(a[..., dim - 1 :], axis=-1)
+    return np.moveaxis(np.maximum(to_centre, from_centre), -1, axis)
+
+
+@dataclass(frozen=True)
+class _ScoringTables:
+    """Per-grid tables of the sorted labels' offset kernels K (see ``_offset_kernels``).
+
+    ``kernels`` is K itself, ``peaks`` each label's maximum m = max K,
+    ``toeplitz`` the (L*dim, (2*dim - 1)*dim) stack of ``_row_toeplitz``
+    blocks of exp(K - m) (zero for a label whose m is not finite), and
+    ``reach[l, i]`` the largest K_l over the offsets a subject can take from
+    reference vertex i.
+    """
+
+    kernels: np.ndarray
+    peaks: np.ndarray
+    toeplitz: np.ndarray
+    reach: np.ndarray
+
+
+def _scoring_tables(grid: Grid, models) -> _ScoringTables:
+    """Build the scoring tables of ``models`` on ``grid``: O(L * dim^2) memory, not L * V^2."""
+    dim = grid.dim
+    kernels = _offset_kernels(grid, models)
+    peaks = kernels.max(axis=(1, 2))
+    live = np.isfinite(peaks)
+    scaled = np.zeros_like(kernels)
+    scaled[live] = np.exp(kernels[live] - peaks[live, None, None])
+    windows = _window_max(_window_max(kernels, dim, 1), dim, 2)
+    # Reference (row, col) sees the window starting at kernel (dim-1-row, dim-1-col).
+    reach = windows[:, ::-1, ::-1].reshape(len(kernels), -1)
+    return _ScoringTables(kernels, peaks, _row_toeplitz(scaled, dim).reshape(-1, scaled.shape[1] * dim), reach)
+
+
+def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fused (P, V) vertex distributions and (P,) surface peaks of a block of points.
+
+    ``choice`` holds the block's rows of ``_select_models``. A point's column
+    sums are sum_i exp(K_{c_i}[j - i] - peak), where its peak, the largest
+    K_{c_i}[j - i] over every pair, is the largest ``reach`` of its choices.
+    Each reference vertex's one-hot label choice, weighted by exp(m_l - peak),
+    multiplies the row-Toeplitz stack: one (dim x L*dim) @ (L*dim x
+    (2*dim - 1)*dim) product per point sums, for every reference row and
+    kernel row, the references of that row. Adding the kernel rows each
+    reference row uses, shifted by the row, gives the column sums. A label
+    whose kernel maximum lies above the point's peak (no vertex that chose it
+    reaches that maximum) uses its own kernel exp(min(K - peak, 0)) instead,
+    which is exact because no pair uses an entry above the peak. A point
+    whose peak is infinite gets the uniform surface.
     """
     dim, v = grid.dim, grid.vertex_count
-    underflow = tuple(int(i) for i in np.flatnonzero(np.isneginf(best_log)))
-
-    rows, cols = np.divmod(np.arange(v), dim)
-    windows = np.lib.stride_tricks.sliding_window_view(kernels, (dim, dim), axis=(1, 2))
-    log_surface = windows[choice, dim - 1 - rows, dim - 1 - cols].reshape(v, v)
-
-    peak = log_surface.max()
-    if math.isinf(peak):
-        scaled = np.ones((v, v))
-        underflow = tuple(range(v))
-    else:
-        log_surface -= peak  # in place: the gather above made a fresh V x V array
-        scaled = np.exp(log_surface, out=log_surface)
-
-    column_sums = scaled.sum(axis=0)
-    return scaled, column_sums / math.fsum(column_sums), underflow
+    n_points, n_labels = len(choice), len(tables.peaks)
+    peak = tables.reach[choice, np.arange(v)].max(axis=1)
+    flat = np.isinf(peak)
+    excess = tables.peaks - np.where(flat, 0.0, peak)[:, None]
+    unreachable = (excess > 0.0) & ~flat[:, None]
+    scale = np.exp(np.minimum(excess, 0.0))
+    scale[unreachable | flat[:, None]] = 0.0
+    chosen = choice[:, :, None] == np.arange(n_labels)  # (P, V, L)
+    weights = (chosen * scale[:, None, :]).reshape(n_points, dim, dim, n_labels).swapaxes(2, 3)
+    # A stacked matmul runs one product per point, so a point scores the same in any block.
+    rows = weights.reshape(n_points, dim, n_labels * dim) @ tables.toeplitz
+    for point, label in np.argwhere(unreachable & chosen.any(axis=1)):
+        clamped = np.exp(np.minimum(tables.kernels[label] - peak[point], 0.0))
+        rows[point] += chosen[point, :, label].reshape(dim, dim) @ _row_toeplitz(clamped, dim)
+    rows = rows.reshape(n_points, dim, 2 * dim - 1, dim)
+    sums = np.zeros((n_points, dim, dim))
+    for row in range(dim):
+        sums += rows[:, row, dim - 1 - row : 2 * dim - 1 - row]
+    sums = sums.reshape(n_points, v)
+    sums[flat] = 1.0
+    return sums / sums.sum(axis=1, keepdims=True), peak
 
 
 def score_point(point, grid: Grid, models) -> PredictionSurface:
     """Score every grid vertex and region as the location of ``point``."""
-    kernels = _offset_kernels(grid, models)
+    tables = _scoring_tables(grid, models)
     labels, choices, best_log = _select_models(np.array([_latlon(point)]), grid, models)
-    scaled, fused, underflow = _score(grid, kernels, choices[0], best_log[0])
+    fused, peak = _score_block(grid, tables, choices)
+    if np.isinf(peak[0]):
+        underflow = tuple(range(grid.vertex_count))
+    else:
+        underflow = tuple(np.flatnonzero(np.isneginf(best_log[0])).tolist())
     return PredictionSurface(
-        vertex_likelihoods=scaled,
-        fused_vertex=fused,
-        region_likelihoods=grid.region_average(fused),
+        fused_vertex=fused[0],
+        region_likelihoods=grid.region_average(fused[0]),
         chosen_labels=tuple(labels[i] for i in choices[0]),
         underflow_vertices=underflow,
     )
@@ -227,6 +306,20 @@ def score_point(point, grid: Grid, models) -> PredictionSurface:
 def region_ranking(region_likelihoods: np.ndarray) -> list[int]:
     """Region indices from most to least likely; ties favor the lower index."""
     return np.argsort(-np.asarray(region_likelihoods), kind="stable").tolist()
+
+
+def _true_region_ranks(grid: Grid, points: np.ndarray, region_likelihoods: np.ndarray) -> np.ndarray:
+    """Per point, the position of its own region in ``region_ranking`` of its row of likelihoods.
+
+    That position is the number of regions more likely than the point's
+    region plus the number of equally likely regions with a lower index.
+    """
+    target = np.array([grid.region_containing(lat, lon) for lat, lon in points])
+    own = region_likelihoods[np.arange(len(target)), target][:, None]
+    earlier = np.arange(grid.region_count) < target[:, None]
+    return np.count_nonzero(region_likelihoods > own, axis=1) + np.count_nonzero(
+        (region_likelihoods == own) & earlier, axis=1
+    )
 
 
 def _check_k(k: int, region_count: int) -> None:
@@ -274,22 +367,20 @@ def prediction_trial(
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     grid = make_grid(bbox, dim)
-    kernels = _offset_kernels(grid, models)
+    tables = _scoring_tables(grid, models)
     rng = np.random.default_rng(seed)
     points = np.column_stack([rng.uniform(bbox[0], bbox[2], n_points), rng.uniform(bbox[1], bbox[3], n_points)])
     labels = sorted(models)
     choices = np.empty((n_points, grid.vertex_count), dtype=np.min_scalar_type(len(labels)))
+    ranks = np.empty(n_points, dtype=int)
     block = max(1, _SELECT_PAIRS // grid.vertex_count)
-    ranks: list[int] = []
     for start in range(0, n_points, block):
         chunk = points[start : start + block]
-        _, choice, best_log = _select_models(chunk, grid, models)
+        _, choice, _ = _select_models(chunk, grid, models)
         choices[start : start + block] = choice
-        for (lat, lon), row, best in zip(chunk, choice, best_log):
-            _, fused, _ = _score(grid, kernels, row, best)
-            order = region_ranking(grid.region_average(fused))
-            ranks.append(order.index(grid.region_containing(lat, lon)))
-    return PredictionTrial(grid, points, ranks, tuple(labels), choices)
+        fused, _ = _score_block(grid, tables, choice)
+        ranks[start : start + block] = _true_region_ranks(grid, chunk, grid.region_average(fused))
+    return PredictionTrial(grid, points, ranks.tolist(), tuple(labels), choices)
 
 
 def prediction_accuracy(
@@ -340,7 +431,13 @@ class RelationOracle:
                 fields = stripped.split("\t")
                 if len(fields) != 2 or fields[0] not in allowed:
                     raise ValueError(f"{path}:{lineno}: expected '<threshold>\\t<value>'")
-                overrides[fields[0]] = float(fields[1])
+                try:
+                    value = float(fields[1])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: {fields[0]} must be a finite number, got {fields[1]!r}")
+                overrides[fields[0]] = value
         return cls(**overrides)
 
     def is_correct(self, label: str, distance_km: float, orientation_deg: float) -> bool:

@@ -440,7 +440,7 @@ def test_predict_rejects_bad_topk_before_scoring(models_dir, monkeypatch, capsys
     def fail(*args):
         raise AssertionError("a point was scored")
 
-    monkeypatch.setattr(predict, "_score", fail)
+    monkeypatch.setattr(predict, "_score_block", fail)
     bbox = "40.0,116.0,40.18,116.235"
     code = run(["predict", "--models", str(models_dir), "--bbox", bbox, "--points", "2000", "--topk", "0"])
     assert code == 1

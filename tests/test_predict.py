@@ -266,8 +266,56 @@ def test_underflow_everywhere_gives_uniform_surface():
     surface = score_point((40.1, 116.1), grid, {"nowhere": WithinStub(-1.0), "never": WithinStub(-1.0)})
     assert surface.underflow_vertices == tuple(range(grid.vertex_count))
     assert surface.chosen_labels == ("never",) * grid.vertex_count
-    assert np.all(surface.vertex_likelihoods == 1.0)
     assert np.all(surface.fused_vertex == 1.0 / grid.vertex_count)
+
+
+@pytest.mark.parametrize("dead", ["absent", "never"])
+def test_label_without_density_anywhere_adds_nothing(dead):
+    # "absent" sorts first, so it is the fallback at every underflow vertex;
+    # "never" sorts after "near" and is never chosen. Its kernel is all -inf.
+    grid = make_grid(BBOX, 9)
+    point = (40.01, 116.02)
+    models = {"near": WithinStub(7.3), dead: WithinStub(-1.0)}
+    surface = score_point(point, grid, models)
+    fused, labels, underflow = direct_surface(point, grid, models)
+    assert not np.isnan(surface.fused_vertex).any()
+    assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
+    assert surface.chosen_labels == labels
+    assert 0 < len(underflow) < grid.vertex_count
+    assert surface.underflow_vertices == underflow
+
+
+class SouthwestStub:
+    """Log density rising by ``slope`` per km of the subject's offset southwest of its reference."""
+
+    def __init__(self, slope: float, offset: float):
+        self.slope, self.offset = slope, offset
+
+    def logpdf(self, points) -> np.ndarray:
+        distance, orientation = np.asarray(points, dtype=float).reshape(-1, 2).T
+        radians = np.radians(orientation)
+        return -self.slope * distance * (np.cos(radians) + np.sin(radians)) - self.offset
+
+
+# A gap of 800 overflows exp(gap) and underflows exp(-gap).
+@pytest.mark.parametrize(("slope", "offset", "gap"), [(0.3, 8.0, 1.0), (200.0, 1000.0, 800.0)])
+def test_kernel_peak_out_of_reach_of_every_vertex_that_chose_it(slope, offset, gap):
+    # The "southwest" kernel peaks at the longest southwest offset, which only
+    # the top-right vertex can reach; that vertex sits next to the point and
+    # chooses "near". So the kernel peak lies above the surface's peak.
+    grid = make_grid(BBOX, 9)
+    point = (40.17, 116.225)
+    models = {"near": WithinStub(3.0), "southwest": SouthwestStub(slope, offset)}
+    tables = predict._scoring_tables(grid, models)
+    _, choice, _ = predict._select_models(np.array([point]), grid, models)
+    _, peak = predict._score_block(grid, tables, choice)
+    assert choice[0, -1] == 0 and np.count_nonzero(choice[0]) > 0
+    assert tables.peaks[1] - peak[0] > gap
+    surface = score_point(point, grid, models)
+    fused, labels, underflow = direct_surface(point, grid, models)
+    assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
+    assert surface.chosen_labels == labels
+    assert surface.underflow_vertices == underflow
 
 
 def test_uniform_stub_surface_is_uniform():
@@ -336,12 +384,34 @@ def test_prediction_trial_choices_and_ranks_match_score_point(dim):
         assert rank == region_ranking(surface.region_likelihoods).index(target)
 
 
+def test_uniform_stub_trial_ranks_match_stable_order():
+    models = {"anywhere": UniformDensityModel()}
+    trial = prediction_trial(models, BBOX, 9, 40, seed=8)
+    grid = trial.grid
+    for point, rank in zip(trial.points, trial.ranks):
+        target = grid.region_containing(point[0], point[1])
+        # Every region ties, so the stable order is the index order.
+        assert rank == target
+        assert rank == region_ranking(score_point(point, grid, models).region_likelihoods).index(target)
+
+
+def test_true_region_ranks_match_stable_order_on_tied_surfaces():
+    grid = make_grid(BBOX, 9)
+    rng = np.random.default_rng(11)
+    points = np.column_stack([rng.uniform(BBOX[0], BBOX[2], 60), rng.uniform(BBOX[1], BBOX[3], 60)])
+    tied = rng.choice([0.0, 1e-300, 0.25, 0.5], size=(60, grid.region_count))
+    tied[:3] = 0.5  # whole rows tied as well
+    ranks = predict._true_region_ranks(grid, points, tied)
+    for point, row, rank in zip(points, tied, ranks):
+        assert rank == region_ranking(row).index(grid.region_containing(point[0], point[1]))
+
+
 @pytest.mark.parametrize("k", [0, 37])
 def test_prediction_accuracy_rejects_bad_k_before_scoring(k, monkeypatch):
     def fail(*args):
         raise AssertionError("a point was scored")
 
-    monkeypatch.setattr(predict, "_score", fail)
+    monkeypatch.setattr(predict, "_score_block", fail)
     with pytest.raises(ValueError, match=r"k must lie in \[1, 36\]"):
         prediction_accuracy(demo_models(), BBOX, 7, 2000, k, seed=1)
 
@@ -409,6 +479,14 @@ def test_oracle_validation():
 
 def test_oracle_from_file_matches_defaults(fixtures_dir):
     assert RelationOracle.from_file(str(fixtures_dir / "oracle_default.tsv")) == RelationOracle()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+def test_oracle_from_file_rejects_non_finite_values_with_line(tmp_path, value):
+    path = tmp_path / "oracle.tsv"
+    path.write_text(f"# thresholds\nat_km\t{value}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"oracle\.tsv:2: at_km must be a finite number"):
+        RelationOracle.from_file(str(path))
 
 
 def test_oracle_from_file_rejects_unknown_keys(tmp_path):
