@@ -1,4 +1,4 @@
-"""Atomic text file writes shared by every writer in the package."""
+"""Atomic file writes, and the one reader and writer behind every TSV file."""
 
 from __future__ import annotations
 
@@ -21,3 +21,41 @@ def write_text(path, text: str) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def read_tsv(path, parse) -> list:
+    """``parse(fields)`` for every row of a TSV file, in file order.
+
+    Blank lines and lines whose first non-space character is ``#`` are
+    comments. Other lines are split on tabs after removing only the
+    newline. A ValueError from ``parse`` is re-raised as ``path:line: message``.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                continue
+            try:
+                rows.append(parse(line.rstrip("\n").split("\t")))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def write_tsv(path, rows) -> None:
+    """Write each row's fields with ``str()``, tab-joined, one row per line.
+
+    Raises ValueError, before anything is written, for a row that would not
+    read back as written: a field holding a tab or a line break, or a line
+    that ``read_tsv`` would skip as blank or a comment.
+    """
+    lines = []
+    for lineno, row in enumerate(rows, start=1):
+        fields = [str(field) for field in row]
+        line = "\t".join(fields)
+        head = line.lstrip()
+        if line.count("\t") != len(fields) - 1 or "\n" in line or "\r" in line or not head or head[0] == "#":
+            raise ValueError(f"{path}:{lineno}: row would not read back as written: {fields!r}")
+        lines.append(line + "\n")
+    write_text(path, "".join(lines))

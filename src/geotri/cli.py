@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_text
+from .atomic import write_text, write_tsv
 from .extract import extract_triplets, load_patterns, read_triplets_tsv, write_triplets_tsv
 from .features import (
     build_training_sets,
@@ -254,8 +254,7 @@ def _cmd_fuse(args) -> None:
     models = load_models_dir(args.models)
     scenario = load_scenario(args.scenario)
     estimate = fuse(scenario, models, fraction=args.fraction, seed=args.seed, fusion=args.fusion)
-    fields = (args.fraction, *estimate.center, estimate.error_km)
-    write_text(args.out + ".tsv", "\t".join(repr(v) for v in fields) + "\n")
+    write_tsv(args.out + ".tsv", [(args.fraction, *estimate.center, estimate.error_km)])
     _write_geojson(args.out + ".geojson", estimate.grid, estimate.region_likelihoods)
     _summary(
         command="fuse",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .atomic import write_text
+from .atomic import read_tsv, write_tsv
 from .gazetteer import Gazetteer, Poi, geocode
 
 __all__ = [
@@ -86,6 +86,7 @@ _CLASS_WORDS: dict[str, frozenset[str]] = {
 }
 
 _KNOWN_CLASSES = frozenset(_CLASS_WORDS) | {"ENTITY", "PUNCT", "UNK"}
+_WORD_CLASS = {word: tag for tag, words in _CLASS_WORDS.items() for word in words}
 
 
 def split_sentences(text: str) -> list[str]:
@@ -117,9 +118,8 @@ def token_class(token: str) -> str:
     if not re.search(r"\w", token):
         return "PUNCT"
     lowered = token.lower()
-    for tag, words in _CLASS_WORDS.items():
-        if lowered in words:
-            return tag
+    if lowered in _WORD_CLASS:
+        return _WORD_CLASS[lowered]
     # Treat remaining s-suffixed words as 3rd-person verb forms.
     if lowered.isalpha() and len(lowered) > 2 and lowered.endswith("s"):
         return "VBZ"
@@ -186,31 +186,29 @@ class PatternSet:
         return PatternSet(self.syntactic_patterns, remaining)
 
 
+def _rule(fields: list[str]) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    if len(fields) != 3:
+        raise ValueError("expected 3 tab-separated columns")
+    label, connector, pattern = fields
+    label, connector, pattern = label.strip().lower(), tuple(connector.lower().split()), tuple(pattern.split())
+    PatternSet((pattern,), {label: (connector,)})  # check the row while its line number is known
+    return label, connector, pattern
+
+
 def load_patterns(path: str) -> PatternSet:
     """Read rules, one per line: ``label<TAB>connector<TAB>pattern``.
 
-    The pattern column is a space-separated token-class sequence. Blank
-    lines and lines starting with ``#`` are ignored. Patterns are pooled
-    across lines; connectors accumulate per label.
+    The pattern column is a space-separated token-class sequence. Patterns
+    are pooled across lines; connectors accumulate per label.
     """
     patterns: list[tuple[str, ...]] = []
     strings: dict[str, list[tuple[str, ...]]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated columns")
-            label, connector, pattern_field = (f.strip() for f in fields)
-            pattern = tuple(pattern_field.split())
-            if pattern not in patterns:
-                patterns.append(pattern)
-            connector_tokens = tuple(connector.lower().split())
-            bucket = strings.setdefault(label.lower(), [])
-            if connector_tokens not in bucket:
-                bucket.append(connector_tokens)
+    for label, connector, pattern in read_tsv(path, _rule):
+        if pattern not in patterns:
+            patterns.append(pattern)
+        bucket = strings.setdefault(label, [])
+        if connector not in bucket:
+            bucket.append(connector)
     return PatternSet(tuple(patterns), {label: tuple(c) for label, c in strings.items()})
 
 
@@ -316,35 +314,21 @@ def extract_triplets(
 
 def write_triplets_tsv(triplets, path) -> None:
     """Write ``subject relation object subject_lat subject_lon object_lat object_lon``."""
-    lines = [
-        "\t".join(
-            (
-                t.subject.name,
-                t.relation,
-                t.object.name,
-                repr(t.subject.lat),
-                repr(t.subject.lon),
-                repr(t.object.lat),
-                repr(t.object.lon),
-            )
-        )
-        + "\n"
+    rows = (
+        (t.subject.name, t.relation, t.object.name, t.subject.lat, t.subject.lon, t.object.lat, t.object.lon)
         for t in triplets
-    ]
-    write_text(path, "".join(lines))
+    )
+    write_tsv(path, rows)
+
+
+def _triplet(fields: list[str]) -> Triplet:
+    if len(fields) != 7:
+        raise ValueError(f"expected 7 columns, got {len(fields)}")
+    subject = Poi(fields[0], float(fields[3]), float(fields[4]))
+    obj = Poi(fields[2], float(fields[5]), float(fields[6]))
+    return Triplet(subject, fields[1], obj)
 
 
 def read_triplets_tsv(path: str) -> list[Triplet]:
     """Read a triplet TSV back; source sentences are not stored."""
-    triplets: list[Triplet] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 7:
-                raise ValueError(f"{path}:{lineno}: expected 7 columns, got {len(fields)}")
-            subject = Poi(fields[0], float(fields[3]), float(fields[4]))
-            obj = Poi(fields[2], float(fields[5]), float(fields[6]))
-            triplets.append(Triplet(subject, fields[1], obj))
-    return triplets
+    return read_tsv(path, _triplet)

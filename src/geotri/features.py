@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import write_text
+from .atomic import read_tsv, write_tsv
 from .gazetteer import Poi
 
 __all__ = [
@@ -65,9 +65,6 @@ class SpatialFeatureVector:
         if self.distance == 0.0 and self.orientation != 0.0:
             raise ValueError("zero distance requires orientation 0")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.distance, self.orientation], dtype=float)
-
 
 @dataclass
 class TrainingSet:
@@ -78,11 +75,6 @@ class TrainingSet:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def to_array(self) -> np.ndarray:
-        if not self.vectors:
-            return np.empty((0, 2), dtype=float)
-        return np.array([[v.distance, v.orientation] for v in self.vectors])
 
 
 def project(lat, lon, origin: ProjectionOrigin):
@@ -158,21 +150,19 @@ def label_filenames(labels) -> dict[str, str]:
 
 def write_training_set(training_set: TrainingSet, path) -> None:
     """Write one feature vector per line as ``distance<TAB>orientation``."""
-    write_text(path, "".join(f"{v.distance!r}\t{v.orientation!r}\n" for v in training_set.vectors))
+    write_tsv(path, ((v.distance, v.orientation) for v in training_set.vectors))
+
+
+def _feature_row(fields: list[str]) -> tuple[float, float]:
+    if len(fields) != 2:
+        raise ValueError(f"expected 2 columns, got {len(fields)}")
+    row = (float(fields[0]), float(fields[1]))
+    if not all(map(math.isfinite, row)):
+        raise ValueError(f"non-finite feature value: {fields[0]}\t{fields[1]}")
+    return row
 
 
 def load_feature_array(path: str) -> np.ndarray:
     """Read a training-set TSV back into an (n, 2) array of finite values."""
-    rows: list[tuple[float, float]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-            row = (float(fields[0]), float(fields[1]))
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{lineno}: non-finite feature value: {line.strip()}")
-            rows.append(row)
+    rows = read_tsv(path, _feature_row)
     return np.array(rows, dtype=float) if rows else np.empty((0, 2), dtype=float)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import write_text
+from .atomic import read_tsv, write_tsv
 from .features import feature_components
 from .gazetteer import Poi
 from .predict import Grid, check_grid, make_grid
@@ -163,16 +163,12 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
 
 def save_scenario(scenario: Scenario, path: str) -> None:
     """Write the scenario file format (see ``load_scenario``)."""
-    lines = [
-        "bbox\t{!r}\t{!r}\t{!r}\t{!r}\n".format(*scenario.bbox),
-        f"dim\t{scenario.dim}\n",
-        f"unknown\t{scenario.unknown.name}\t{scenario.unknown.lat!r}\t{scenario.unknown.lon!r}\n",
-    ]
-    lines.extend(
-        f"{label}\t{landmark.name}\t{landmark.lat!r}\t{landmark.lon!r}\n"
-        for label, landmark in scenario.observations
-    )
-    write_text(path, "".join(lines))
+    if any(label == "unknown" for label, _ in scenario.observations):
+        raise ValueError(f"{path}: an observation labelled 'unknown' would read back as the unknown place")
+    unknown = scenario.unknown
+    rows = [("bbox", *scenario.bbox), ("dim", scenario.dim), ("unknown", unknown.name, unknown.lat, unknown.lon)]
+    rows += [(label, poi.name, poi.lat, poi.lon) for label, poi in scenario.observations]
+    write_tsv(path, rows)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -182,32 +178,27 @@ def load_scenario(path: str) -> Scenario:
     max_lon``, ``dim<TAB>n``, ``unknown<TAB>name<TAB>lat<TAB>lon``, then one
     ``label<TAB>landmark_name<TAB>lat<TAB>lon`` line per observation.
     """
-    bbox = None
-    dim = None
-    unknown = None
-    observations: list[tuple[str, Poi]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip() or stripped.startswith("#"):
-                continue
-            fields = stripped.split("\t")
-            try:
-                if fields[0] == "bbox" and len(fields) == 5:
-                    bbox = tuple(float(f) for f in fields[1:])
-                elif fields[0] == "dim" and len(fields) == 2:
-                    dim = int(fields[1])
-                elif fields[0] == "unknown" and len(fields) == 4:
-                    unknown = Poi(fields[1], float(fields[2]), float(fields[3]))
-                elif len(fields) == 4:
-                    observations.append((fields[0], Poi(fields[1], float(fields[2]), float(fields[3]))))
-                else:
-                    raise ValueError("unrecognized line")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    if bbox is None or dim is None or unknown is None:
+    header: dict[str, object] = {}
+
+    def parse(fields: list[str]) -> tuple[str, Poi] | None:
+        head, rest = fields[0], fields[1:]
+        if head == "bbox" and len(rest) == 4:
+            header["bbox"] = tuple(float(f) for f in rest)
+        elif head == "dim" and len(rest) == 1:
+            header["dim"] = int(rest[0])
+        elif len(rest) == 3:
+            poi = Poi(rest[0], float(rest[1]), float(rest[2]))
+            if head != "unknown":
+                return head, poi
+            header["unknown"] = poi
+        else:
+            raise ValueError("unrecognized line")
+        return None
+
+    observations = [row for row in read_tsv(path, parse) if row is not None]
+    if len(header) < 3:
         raise ValueError(f"{path}: scenario needs bbox, dim, and unknown header lines")
     try:
-        return Scenario(unknown=unknown, observations=tuple(observations), bbox=bbox, dim=dim)
+        return Scenario(observations=tuple(observations), **header)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

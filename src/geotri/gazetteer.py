@@ -9,7 +9,9 @@ strings; exact lookups go through a prebuilt name index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .atomic import read_tsv
 
 __all__ = [
     "EmptyGazetteerError",
@@ -99,40 +101,30 @@ def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gaz
     return Gazetteer(entries=entries, name_index=index, skipped_rows=skipped_rows)
 
 
+def _entry(fields: list[str]) -> GazetteerEntry | None:
+    if len(fields) != 4:
+        return None
+    name, alt_field, lat_field, lon_field = fields
+    try:
+        alts = tuple(a.strip() for a in alt_field.split(",") if a.strip())
+        return GazetteerEntry(name.strip(), alts, float(lat_field), float(lon_field))
+    except ValueError:
+        return None
+
+
 def load_gazetteer(path: str) -> Gazetteer:
     """Load a gazetteer from a TSV file.
 
     Rows are ``name<TAB>alt_names<TAB>lat<TAB>lon`` with alternate names
-    comma-separated (possibly empty); blank lines and lines starting with
-    ``#`` are comments. Malformed rows are skipped and counted on the
-    returned object; a file with zero valid rows is an error. Unreadable
-    paths raise the underlying OSError.
+    comma-separated (possibly empty). Malformed rows are skipped and counted
+    on the returned object; a file with zero valid rows is an error.
+    Unreadable paths raise the underlying OSError.
     """
-    entries: list[GazetteerEntry] = []
-    skipped = 0
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                skipped += 1
-                continue
-            name, alt_field, lat_field, lon_field = fields
-            try:
-                lat, lon = float(lat_field), float(lon_field)
-            except ValueError:
-                skipped += 1
-                continue
-            alts = tuple(a.strip() for a in alt_field.split(",") if a.strip())
-            try:
-                entries.append(GazetteerEntry(name.strip(), alts, lat, lon))
-            except ValueError:
-                skipped += 1
+    rows = read_tsv(path, _entry)
+    entries = [entry for entry in rows if entry is not None]
     if not entries:
         raise EmptyGazetteerError(f"no valid gazetteer rows in {path}")
-    return build_gazetteer(entries, skipped_rows=skipped)
+    return build_gazetteer(entries, skipped_rows=len(rows) - len(entries))
 
 
 def levenshtein(a: str, b: str, limit: int | None = None) -> int:

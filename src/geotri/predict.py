@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import read_tsv
 from .features import ProjectionOrigin, feature_components
 
 __all__ = [
@@ -421,24 +422,21 @@ class RelationOracle:
     @classmethod
     def from_file(cls, path: str) -> RelationOracle:
         """Read ``key<TAB>value`` overrides for the default thresholds."""
-        overrides: dict[str, float] = {}
         allowed = {"near_km", "at_km", "containment_km", "sector_half_width_deg"}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                fields = stripped.split("\t")
-                if len(fields) != 2 or fields[0] not in allowed:
-                    raise ValueError(f"{path}:{lineno}: expected '<threshold>\\t<value>'")
-                try:
-                    value = float(fields[1])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: {fields[0]} must be a finite number, got {fields[1]!r}")
-                overrides[fields[0]] = value
-        return cls(**overrides)
+
+        def parse(fields: list[str]) -> tuple[str, float]:
+            key = fields[0].strip()
+            if len(fields) != 2 or key not in allowed:
+                raise ValueError("expected '<threshold>\\t<value>'")
+            try:
+                value = float(fields[1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be a finite number, got {fields[1]!r}")
+            return key, value
+
+        return cls(**dict(read_tsv(path, parse)))
 
     def is_correct(self, label: str, distance_km: float, orientation_deg: float) -> bool:
         if label in ("near", "next to", "close to"):

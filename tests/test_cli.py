@@ -210,6 +210,15 @@ def test_features_rejects_colliding_label_filenames(tmp_path, capsys):
     assert not list(out_dir.glob("*"))
 
 
+def test_features_reports_bad_triplet_row_with_path_and_line(tmp_path, capsys):
+    triplets = tmp_path / "triplets.tsv"
+    triplets.write_text("# subject\trelation\tobject\nA\tnear\tB\tabc\t116.1\t40.2\t116.2\n", encoding="utf-8")
+    out_dir = tmp_path / "features"
+    assert run(["features", "--triplets", str(triplets), "--out-dir", str(out_dir)]) == 1
+    assert f"{triplets}:2: could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_failed_atomic_write_keeps_old_file(tmp_path):
     path = tmp_path / "out.tsv"
     path.write_text("old\n", encoding="utf-8")
@@ -271,6 +280,15 @@ def test_train_rejects_non_finite_feature_row(tmp_path, capsys, value):
     code = run(["train", "--features", str(features), "--relation", "near", "--out", str(out)])
     assert code == 1
     assert f"{features}:2: non-finite feature value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_reports_bad_feature_row_with_path_and_line(tmp_path, capsys):
+    features = tmp_path / "near.tsv"
+    features.write_text("\n# distance\torientation\nabc\t45.0\n", encoding="utf-8")
+    out = tmp_path / "near.model"
+    assert run(["train", "--features", str(features), "--relation", "near", "--out", str(out)]) == 1
+    assert f"{features}:3: could not convert string to float: 'abc'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geotri.extract import (
+    _CLASS_WORDS,
     EntitySpan,
     PatternSet,
     Triplet,
@@ -67,6 +68,12 @@ def test_token_classes():
     assert token_class(",") == "PUNCT"
     assert token_class("10") == "UNK"
     assert token_class("invested") == "UNK"
+
+
+def test_every_class_word_keeps_its_tag():
+    for tag, words in _CLASS_WORDS.items():
+        for word in words:
+            assert (token_class(word), token_class(word.upper())) == (tag, tag)
 
 
 def test_token_class_s_suffix_verb_heuristic():
