@@ -125,7 +125,11 @@ def _summary(**pairs) -> None:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("GEOTRI_SEED", "0"))
+    text = os.environ.get("GEOTRI_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"GEOTRI_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_bbox(text: str) -> tuple[float, float, float, float]:
@@ -155,7 +159,7 @@ def _cmd_extract(args) -> None:
     patterns = load_patterns(args.patterns)
     with open(args.corpus, encoding="utf-8") as handle:
         corpus = [line.strip() for line in handle if line.strip()]
-    triplets = extract_triplets(corpus, gaz, patterns, max_span=args.max_span)
+    triplets = extract_triplets(corpus, gaz, patterns)
     write_triplets_tsv(triplets, args.out)
     _summary(
         command="extract",
@@ -281,7 +285,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--gazetteer", required=True)
     p.add_argument("--patterns", required=True)
-    p.add_argument("--max-span", type=int, default=5)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("features", help="triplets -> per-relation feature TSVs")
@@ -337,9 +340,9 @@ def run(argv: list[str]) -> int:
     if args.command is None:
         print(parser.format_usage(), file=sys.stderr)
         return 1
-    if getattr(args, "seed", None) is None and "seed" in vars(args):
-        args.seed = _default_seed()
     try:
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _default_seed()
         _HANDLERS[args.command](args)
     except OSError as exc:
         print(f"geotri {args.command}: {exc}", file=sys.stderr)

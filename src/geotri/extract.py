@@ -2,13 +2,14 @@
 
 The pipeline mirrors how a travel blog gets mined: split text into
 sentences, tokenize, tag place mentions against a gazetteer (longest match
-first), and test each pair of mentions that are adjacent in the text. A
-pair becomes a triplet (subject, relation, object) only when the token gap
-between the mentions is short, its token-class sequence matches a
-configured syntactic pattern, and a connector phrase for some relation
-label occurs inside the gap. Requiring both checks keeps sentences like
-"Deutsche Bank invested 10 million dollars in Brazil" from producing a
-bogus containment triplet.
+first, up to the gazetteer's longest name), and test each pair of mentions
+that are adjacent in the text. A pair becomes a triplet (subject, relation,
+object) only when the token-class sequence of the gap between the mentions
+matches a configured syntactic pattern, and a connector phrase for some
+relation label occurs inside the gap. Requiring both checks keeps sentences
+like "Deutsche Bank invested 10 million dollars in Brazil" from producing a
+bogus containment triplet. A gap longer than the longest pattern's gap is
+rejected before its tokens are classed.
 
 Token classes are approximated with small closed word lists (prepositions,
 copular/3rd-person verbs, determiners, direction words, and so on) plus an
@@ -18,7 +19,7 @@ ENTITY class for tagged mentions; anything unknown maps to UNK.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .atomic import read_tsv, write_tsv
 from .gazetteer import Gazetteer, Poi, geocode
@@ -37,8 +38,6 @@ __all__ = [
     "tokenize",
     "write_triplets_tsv",
 ]
-
-MAX_GAP_TOKENS = 6
 
 _TOKEN = re.compile(r"\w+(?:'\w+)?|[^\w\s]")
 _BOUNDARY = re.compile(r"([.!?]+)(\s+)")
@@ -160,11 +159,13 @@ class PatternSet:
 
     ``syntactic_patterns`` holds token-class sequences with an ENTITY slot
     at each end; ``relation_strings`` maps each relation label to the
-    connector phrases (token tuples) that assert it.
+    connector phrases (token tuples) that assert it. ``max_gap``, the gap
+    length of the longest pattern, is derived from the patterns.
     """
 
     syntactic_patterns: tuple[tuple[str, ...], ...]
     relation_strings: dict[str, tuple[tuple[str, ...], ...]]
+    max_gap: int = field(init=False)
 
     def __post_init__(self) -> None:
         for pattern in self.syntactic_patterns:
@@ -180,10 +181,7 @@ class PatternSet:
                 raise ValueError(f"labels must be non-empty and lowercase: {label!r}")
             if not connectors or any(not c for c in connectors):
                 raise ValueError(f"label {label!r} needs non-empty connector phrases")
-
-    def without_label(self, label: str) -> PatternSet:
-        remaining = {l: c for l, c in self.relation_strings.items() if l != label}
-        return PatternSet(self.syntactic_patterns, remaining)
+        object.__setattr__(self, "max_gap", max(map(len, self.syntactic_patterns), default=2) - 2)
 
 
 def _rule(fields: list[str]) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
@@ -212,22 +210,22 @@ def load_patterns(path: str) -> PatternSet:
     return PatternSet(tuple(patterns), {label: tuple(c) for label, c in strings.items()})
 
 
-def tag_entities(tokens: list[str], gaz: Gazetteer, max_span: int = 5) -> list[EntitySpan]:
+def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
     """Greedy longest-match gazetteer tagging, left to right.
 
     Candidate spans never include punctuation tokens (normalization would
     otherwise let "Rio de Janeiro ," shadow the comma) and must geocode
-    exactly (edit distance 0) after normalization.
+    exactly (edit distance 0) after normalization. Every other token
+    normalizes to at least one word, so no span longer than
+    ``gaz.max_words`` tokens can match and none is tried.
     """
-    if max_span < 1:
-        raise ValueError("max_span must be >= 1")
     spans: list[EntitySpan] = []
     punct = [token_class(t) == "PUNCT" for t in tokens]
     i = 0
     n = len(tokens)
     while i < n:
         found = None
-        for length in range(min(max_span, n - i), 0, -1):
+        for length in range(min(gaz.max_words, n - i), 0, -1):
             if any(punct[i : i + length]):
                 continue
             surface = " ".join(tokens[i : i + length])
@@ -253,20 +251,18 @@ def match_relation(
     left: EntitySpan,
     right: EntitySpan,
     patterns: PatternSet,
-    max_gap: int = MAX_GAP_TOKENS,
 ) -> str | None:
     """Relation label asserted between two mentions, or None.
 
-    The gap between the spans must be at most ``max_gap`` tokens, its class
-    sequence (with ENTITY at both ends) must equal a configured pattern, and
-    a connector phrase must occur contiguously inside the gap. When several
-    labels' connectors match, the longest connector wins, then the
-    lexicographically smaller label.
+    The gap's class sequence (with ENTITY at both ends) must equal a
+    configured pattern, and a connector phrase must occur contiguously
+    inside the gap. When several labels' connectors match, the longest
+    connector wins, then the lexicographically smaller label.
     """
     if left.token_end > right.token_start:
         raise ValueError("left span must precede right span without overlap")
     gap = tokens[left.token_end : right.token_start]
-    if len(gap) > max_gap:
+    if len(gap) > patterns.max_gap:
         return None
     sequence = ("ENTITY", *[token_class(t) for t in gap], "ENTITY")
     if sequence not in patterns.syntactic_patterns:
@@ -283,13 +279,7 @@ def match_relation(
     return min(matched)[1]
 
 
-def extract_triplets(
-    corpus,
-    gaz: Gazetteer,
-    patterns: PatternSet,
-    max_span: int = 5,
-    max_gap: int = MAX_GAP_TOKENS,
-) -> list[Triplet]:
+def extract_triplets(corpus, gaz: Gazetteer, patterns: PatternSet) -> list[Triplet]:
     """Run the full pipeline over an iterable of texts.
 
     Only mention pairs adjacent in the text are tested, in reading order;
@@ -301,11 +291,11 @@ def extract_triplets(
     for text in corpus:
         for sentence in split_sentences(text):
             tokens = tokenize(sentence)
-            spans = tag_entities(tokens, gaz, max_span=max_span)
+            spans = tag_entities(tokens, gaz)
             if len(spans) < 2:
                 continue
             for left, right in zip(spans, spans[1:]):
-                label = match_relation(tokens, left, right, patterns, max_gap=max_gap)
+                label = match_relation(tokens, left, right, patterns)
                 if label is None or left.poi.name == right.poi.name:
                     continue
                 triplets.append(Triplet(left.poi, label, right.poi, sentence))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import read_tsv, write_tsv
-from .features import feature_components
+from .features import EARTH_RADIUS_KM, feature_components
 from .gazetteer import Poi
 from .predict import Grid, check_grid, make_grid
 
@@ -83,7 +83,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * 6371.0 * math.asin(math.sqrt(a))
+    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
 def subsample(observations, fraction: float, seed: int) -> list:

@@ -9,7 +9,7 @@ strings; exact lookups go through a prebuilt name index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .atomic import read_tsv
 
@@ -70,17 +70,23 @@ class GazetteerEntry:
         return (self.name, *self.alt_names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gazetteer:
     """Entries plus an index from normalized name to entry positions.
 
-    Instances are treated as immutable after construction and may be shared
-    freely across worker threads.
+    ``max_words`` is the word count of the longest indexed name, derived
+    from ``name_index``. Instances are treated as immutable after
+    construction and may be shared freely across worker threads.
     """
 
     entries: list[GazetteerEntry]
     name_index: dict[str, list[int]]
     skipped_rows: int = 0
+    max_words: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        words = max((key.count(" ") + 1 for key in self.name_index), default=0)
+        object.__setattr__(self, "max_words", words)
 
     def __len__(self) -> int:
         return len(self.entries)

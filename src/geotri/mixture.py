@@ -14,8 +14,9 @@ components frozen), insert the one that maximizes the mixed log-likelihood,
 refit with full EM, and keep going while the refit log-likelihood clears an
 acceptance margin and the component budget allows. The margin is what makes
 growth stop on unimodal data: an extra component buys only a sampling-noise
-improvement there, far below ``accept_tol`` relative, while real structure
-buys orders of magnitude more.
+improvement there, far below ``ACCEPT_TOL`` relative, while real structure
+buys orders of magnitude more. EM and partial EM stop when an iteration
+gains at most ``EM_TOL`` relative, or after ``EM_MAX_ITER`` iterations.
 
 A round's candidates are tuned in lockstep as (candidates, points) arrays;
 each stops on its own gain, as it would alone, and then leaves the arrays.
@@ -35,6 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ACCEPT_TOL",
+    "EM_MAX_ITER",
+    "EM_TOL",
     "GaussianComponent",
     "GmmModel",
     "InsufficientDataError",
@@ -43,13 +47,15 @@ __all__ = [
     "VARIANCE_FLOOR",
     "derive_seed",
     "em_fit",
-    "gaussian_pdf",
     "generate_candidates",
     "gmm_log_likelihood",
     "greedy_train",
 ]
 
 VARIANCE_FLOOR = 1e-4
+EM_TOL = 1e-6
+EM_MAX_ITER = 200
+ACCEPT_TOL = 1e-2
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_HALF = math.log(0.5)
@@ -126,13 +132,10 @@ class GmmModel:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Knobs for EM and the greedy growth loop."""
+    """Knobs for the greedy growth loop."""
 
     max_components: int = 5
     candidates_per_component: int = 10
-    em_tol: float = 1e-6
-    em_max_iter: int = 200
-    accept_tol: float = 1e-2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -140,10 +143,6 @@ class TrainingConfig:
             raise ValueError("max_components must be >= 1")
         if self.candidates_per_component < 1:
             raise ValueError("candidates_per_component must be >= 1")
-        if self.em_tol <= 0.0 or self.em_max_iter < 1:
-            raise ValueError("em_tol must be > 0 and em_max_iter >= 1")
-        if self.accept_tol < 0.0:
-            raise ValueError("accept_tol must be >= 0")
 
 
 def derive_seed(base_seed: int, relation: str) -> int:
@@ -168,11 +167,6 @@ def _training_points(data) -> np.ndarray:
         row = int(np.argmin(finite))
         raise ValueError(f"training data row {row} is not finite: {x[row].tolist()}")
     return x
-
-
-def _component_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density at each row of ``x`` (n, 2): (..., n) for ``mean`` (..., 2), ``cov`` (..., 2, 2)."""
-    return _offset_logpdf(x[:, 0] - mean[..., 0, None], x[:, 1] - mean[..., 1, None], cov)
 
 
 def _offset_logpdf(dx: np.ndarray, dy: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -201,14 +195,6 @@ def _logsumexp(stacked: np.ndarray) -> np.ndarray:
     shift = np.where(np.isfinite(peak), peak, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(stacked - shift).sum(axis=0)) + shift
-
-
-def gaussian_pdf(x, component: GaussianComponent) -> float:
-    """Density of one component at ``x``, ignoring its mixture weight."""
-    point = _as_points(x)
-    if point.shape[0] != 1:
-        raise ValueError("gaussian_pdf evaluates a single 2-vector")
-    return float(np.exp(_component_logpdf(point, component.mean, component.covariance))[0])
 
 
 def gmm_log_likelihood(data, model: GmmModel) -> float:
@@ -273,7 +259,8 @@ def _model_from_arrays(
 def _log_responsibilities(
     x: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> np.ndarray:
-    return np.log(weights)[:, None] + _component_logpdf(x, means, covs)
+    """log w_k + log g_k at each point: (K, n) for ``x`` (n, 2)."""
+    return np.log(weights)[:, None] + _offset_logpdf(x[:, 0] - means[:, :1], x[:, 1] - means[:, 1:], covs)
 
 
 def _m_step(resp: np.ndarray, x: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -295,11 +282,11 @@ def _m_step(resp: np.ndarray, x: np.ndarray, totals: np.ndarray) -> tuple[np.nda
     return means, _floor_covariance(covs), dx, dy
 
 
-def em_fit(data, model: GmmModel, cfg: TrainingConfig, history: list[float] | None = None) -> GmmModel:
+def em_fit(data, model: GmmModel, history: list[float] | None = None) -> GmmModel:
     """Run EM from ``model`` until the log-likelihood improvement stalls.
 
-    Stops when the per-iteration gain drops to ``cfg.em_tol`` relative or
-    after ``cfg.em_max_iter`` iterations. When ``history`` is supplied, the
+    Stops when the per-iteration gain drops to ``EM_TOL`` relative or
+    after ``EM_MAX_ITER`` iterations. When ``history`` is supplied, the
     log-likelihood observed at the start of every iteration is appended to
     it (a non-decreasing sequence up to floating-point noise, since each
     M-step maximizes the EM lower bound).
@@ -312,13 +299,13 @@ def em_fit(data, model: GmmModel, cfg: TrainingConfig, history: list[float] | No
         )
     weights, means, covs = _arrays(model.components)
     previous = None
-    for _ in range(cfg.em_max_iter):
+    for _ in range(EM_MAX_ITER):
         log_joint = _log_responsibilities(x, weights, means, covs)
         log_norm = _logsumexp(log_joint)
         loglik = float(log_norm.sum())
         if history is not None:
             history.append(loglik)
-        if previous is not None and loglik - previous <= cfg.em_tol * max(1.0, abs(loglik)):
+        if previous is not None and loglik - previous <= EM_TOL * max(1.0, abs(loglik)):
             break
         previous = loglik
 
@@ -359,7 +346,7 @@ def generate_candidates(
 
 
 def _refine_candidates(
-    x: np.ndarray, base_logpdf: np.ndarray, candidates: list[GaussianComponent], cfg: TrainingConfig
+    x: np.ndarray, base_logpdf: np.ndarray, candidates: list[GaussianComponent]
 ) -> tuple[int, GaussianComponent, float]:
     """Partial EM on all of a round's candidates at once, the current mixture frozen.
 
@@ -368,7 +355,7 @@ def _refine_candidates(
     d = log a + log g_k - log(1 - a) - log p per point, its responsibilities
     are sigmoid(d) and its mixed log-likelihood is
     sum(log p) + n log(1 - a) + sum(softplus(d)). Each candidate stops as it
-    would alone: when its gain falls to ``cfg.em_tol`` relative (keeping that
+    would alone: when its gain falls to ``EM_TOL`` relative (keeping that
     update) or its total responsibility drops below 1e-10 (keeping the one
     before); it then leaves the live arrays. Returns the index, component and
     mixed log-likelihood of the first maximum: a tie goes to the earlier
@@ -395,7 +382,7 @@ def _refine_candidates(
     resp, loglik = mix(weights, covs, x[:, 0] - means[:, :1], x[:, 1] - means[:, 1:])
     mixed = loglik.copy()
     live = np.arange(len(candidates))
-    for _ in range(cfg.em_max_iter):
+    for _ in range(EM_MAX_ITER):
         totals = resp.sum(axis=1)
         keep = totals >= 1e-10
         live, resp, totals, loglik = live[keep], resp[keep], totals[keep], loglik[keep]
@@ -403,7 +390,7 @@ def _refine_candidates(
         step_means, step_covs, dx, dy = _m_step(resp, x, totals)
         resp, updated = mix(step_weights, step_covs, dx, dy)
         weights[live], means[live], covs[live], mixed[live] = step_weights, step_means, step_covs, updated
-        keep = updated - loglik > cfg.em_tol * np.maximum(1.0, np.abs(updated))
+        keep = updated - loglik > EM_TOL * np.maximum(1.0, np.abs(updated))
         live, resp, loglik = live[keep], resp[keep], updated[keep]
         if live.size == 0:
             break
@@ -426,7 +413,7 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
     every candidate with partial EM (current components frozen, candidate
     weight starting at 1/2), inserts the one with the best mixed
     log-likelihood (the first on a tie), refits with full EM, and accepts
-    the grown model only when it clears ``cfg.accept_tol`` relative
+    the grown model only when it clears ``ACCEPT_TOL`` relative
     improvement; otherwise the previous model is returned. Identical data, config, and seed reproduce
     the model bit for bit.
     """
@@ -439,17 +426,17 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
         relation,
         (GaussianComponent(1.0, x.mean(axis=0), _floor_covariance(np.cov(x.T, ddof=0))),),
     )
-    current = em_fit(x, start, cfg)
+    current = em_fit(x, start)
     current_ll = gmm_log_likelihood(x, current)
 
     while current.component_count < cfg.max_components and x.shape[0] > current.component_count:
         candidates = generate_candidates(x, current, cfg, rng=rng)
         if not candidates:
             break
-        _, best, _ = _refine_candidates(x, current.logpdf(x), candidates, cfg)
-        grown = em_fit(x, _insert_component(current, best), cfg)
+        _, best, _ = _refine_candidates(x, current.logpdf(x), candidates)
+        grown = em_fit(x, _insert_component(current, best))
         grown_ll = gmm_log_likelihood(x, grown)
-        if grown_ll <= current_ll + cfg.accept_tol * max(1.0, abs(current_ll)):
+        if grown_ll <= current_ll + ACCEPT_TOL * max(1.0, abs(current_ll)):
             break
         current, current_ll = grown, grown_ll
     return current

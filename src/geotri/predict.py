@@ -398,6 +398,19 @@ def prediction_accuracy(
     return prediction_trial(models, bbox, dim, n_points, seed).accuracy(k)
 
 
+# Cardinal direction of each directional label, in degrees (north 90).
+_SECTOR_CENTERS = {
+    "east of": 0.0,
+    "northeast of": 45.0,
+    "north of": 90.0,
+    "northwest of": 135.0,
+    "west of": 180.0,
+    "southwest of": 225.0,
+    "south of": 270.0,
+    "southeast of": 315.0,
+}
+
+
 @dataclass(frozen=True)
 class RelationOracle:
     """Geometric ground-truth predicates for label correctness.
@@ -434,6 +447,7 @@ class RelationOracle:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be a finite number, got {fields[1]!r}")
+            cls(**{key: value})  # check the override while its line number is known
             return key, value
 
         return cls(**dict(read_tsv(path, parse)))
@@ -445,18 +459,8 @@ class RelationOracle:
             return distance_km <= self.at_km
         if label == "in":
             return distance_km <= self.containment_km
-        centers = {
-            "east of": 0.0,
-            "northeast of": 45.0,
-            "north of": 90.0,
-            "northwest of": 135.0,
-            "west of": 180.0,
-            "southwest of": 225.0,
-            "south of": 270.0,
-            "southeast of": 315.0,
-        }
-        if label in centers:
-            delta = abs((orientation_deg - centers[label] + 180.0) % 360.0 - 180.0)
+        if label in _SECTOR_CENTERS:
+            delta = abs((orientation_deg - _SECTOR_CENTERS[label] + 180.0) % 360.0 - 180.0)
             return delta <= self.sector_half_width_deg
         return False
 

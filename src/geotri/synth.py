@@ -39,6 +39,11 @@ __all__ = [
 
 CITY_BBOX = (40.0, 116.0, 40.18, 116.235)
 
+# Scenario landmarks farther than this from the hidden point are rejected.
+_LANDMARK_MAX_KM = 16.0
+# Tried in this order; a landmark takes the first label whose predicate holds.
+_SCENARIO_LABELS = ("at", "near", "north of", "west of")
+
 
 class UniformDensityModel:
     """Stub model with the same density everywhere (log density 0)."""
@@ -145,19 +150,16 @@ def consistent_scenario(
     bbox: tuple[float, float, float, float] = CITY_BBOX,
     dim: int = 15,
     unknown_at: tuple[float, float] = (0.65, 0.3),
-    directional_max_km: float = 16.0,
-    oracle: RelationOracle | None = None,
 ) -> Scenario:
     """Generate truthful observations about a hidden point.
 
-    Landmarks are drawn uniformly in the bbox and labeled by the geometric
-    predicate that actually holds for the hidden point relative to them
-    (at/near by distance, else a cardinal sector within
-    ``directional_max_km``); landmarks fitting no label are rejected. This
-    mirrors narrative observations, which assert relations that hold.
+    Landmarks are drawn uniformly in the bbox and labeled by the first of
+    at, near, north of and west of whose default ``RelationOracle``
+    predicate holds for the hidden point relative to them; landmarks
+    farther than 16 km or fitting no label are rejected. This mirrors
+    narrative observations, which assert relations that hold.
     """
-    if oracle is None:
-        oracle = RelationOracle()
+    oracle = RelationOracle()
     min_lat, min_lon, max_lat, max_lon = bbox
     unknown = Poi(
         "hidden",
@@ -176,15 +178,10 @@ def consistent_scenario(
         lon = rng.uniform(min_lon, max_lon)
         distance, orientation = feature_components(unknown.lat, unknown.lon, lat, lon, origin)
         distance, orientation = float(distance), float(orientation)
-        if distance <= oracle.at_km:
-            label = "at"
-        elif distance <= oracle.near_km:
-            label = "near"
-        elif distance <= directional_max_km and abs(orientation - 90.0) <= oracle.sector_half_width_deg:
-            label = "north of"
-        elif distance <= directional_max_km and abs(orientation - 180.0) <= oracle.sector_half_width_deg:
-            label = "west of"
-        else:
+        if distance > _LANDMARK_MAX_KM:
+            continue
+        label = next((name for name in _SCENARIO_LABELS if oracle.is_correct(name, distance, orientation)), None)
+        if label is None:
             continue
         observations.append((label, Poi(f"landmark-{len(observations)}", lat, lon)))
     return Scenario(unknown=unknown, observations=tuple(observations), bbox=bbox, dim=dim)

@@ -84,7 +84,7 @@ def test_criterion_3_em_correctness(capfd):
         [12.0, 200.0], [[4.0, 1.5], [1.5, 25.0]], size=500
     )
     start = GmmModel("r", (GaussianComponent(1.0, [0.0, 0.0], np.eye(2) * 1e4),))
-    fitted = em_fit(x, start, TrainingConfig())
+    fitted = em_fit(x, start)
     mean_err = float(np.max(np.abs(fitted.components[0].mean - x.mean(axis=0))))
     sample_cov = np.cov(x.T, ddof=0)
     cov_err = float(
@@ -101,7 +101,7 @@ def test_criterion_3_em_correctness(capfd):
             for _ in range(k)
         )
         history: list[float] = []
-        em_fit(data, GmmModel("r", starts), TrainingConfig(), history=history)
+        em_fit(data, GmmModel("r", starts), history=history)
         for prev, curr in zip(history, history[1:]):
             if curr < prev - 1e-8 * max(1.0, abs(prev)):
                 monotone = False

@@ -10,7 +10,7 @@ import pytest
 from geotri import predict
 from geotri.atomic import write_text
 from geotri.cli import ModelFileError, load_model, load_models_dir, run, save_model
-from geotri.mixture import GaussianComponent, GmmModel, gaussian_pdf
+from geotri.mixture import GaussianComponent, GmmModel
 from geotri.predict import make_grid, score_point, surface_to_geojson
 
 FIXTURE_ARGS = None  # set lazily via the fixtures_dir fixture
@@ -344,7 +344,7 @@ def test_hand_written_model_file_density(tmp_path):
     )
     model = load_model(path)
     expected = 1.0 / (2.0 * math.pi * math.sqrt(36.0))
-    assert gaussian_pdf([1.0, 2.0], model.components[0]) == pytest.approx(expected, rel=1e-12)
+    assert math.exp(model.logpdf([1.0, 2.0])[0]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_truncated_model_file_reports_line(tmp_path):
@@ -560,3 +560,60 @@ def test_explicit_seed_overrides_environment(models_dir, monkeypatch, capsys):
     )
     assert code == 0
     assert parse_summary(capsys)["seed"] == "9"
+
+
+def seed_commands(fixtures_dir, feature_dir, models_dir, out):
+    return {
+        "train": ["train", "--features", str(feature_dir / "near.tsv"), "--relation", "near", "--out", str(out)],
+        "predict": ["predict", "--models", str(models_dir), "--bbox", "40.0,116.0,40.18,116.235",
+                    "--grid-dim", "5", "--points", "5", "--topk", "2"],
+        "fuse": ["fuse", "--scenario", str(fixtures_dir / "scenario_demo.tsv"), "--models", str(models_dir),
+                 "--out", str(out)],
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "fuse"])
+def test_invalid_seed_environment_is_usage_error(
+    fixtures_dir, feature_dir, models_dir, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setenv("GEOTRI_SEED", "abc")
+    out = tmp_path / "out"
+    assert run(seed_commands(fixtures_dir, feature_dir, models_dir, out)[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "GEOTRI_SEED" in captured.err and "'abc'" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "fuse"])
+def test_explicit_seed_ignores_invalid_environment(
+    fixtures_dir, feature_dir, models_dir, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setenv("GEOTRI_SEED", "abc")
+    argv = seed_commands(fixtures_dir, feature_dir, models_dir, tmp_path / "out")[command]
+    assert run(argv + ["--seed", "9"]) == 0
+    assert parse_summary(capsys)["command"] == command
+
+
+def test_commands_without_seed_ignore_seed_environment(fixtures_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GEOTRI_SEED", "abc")
+    gazetteer = str(fixtures_dir / "gazetteer.tsv")
+    assert run(["geocode", "--gazetteer", gazetteer, "--name", "Bostom"]) == 0
+    assert parse_summary(capsys)["match"] == "Boston"
+    out = tmp_path / "triplets.tsv"
+    assert run(["extract", "--corpus", str(fixtures_dir / "corpus.txt"), "--gazetteer", gazetteer,
+                "--patterns", str(fixtures_dir / "patterns.tsv"), "--out", str(out)]) == 0
+    assert parse_summary(capsys)["command"] == "extract"
+    assert run(["features", "--triplets", str(out), "--out-dir", str(tmp_path / "features")]) == 0
+    assert parse_summary(capsys)["command"] == "features"
+
+
+def test_extract_has_no_span_option(fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "triplets.tsv"
+    code = run(["extract", "--corpus", str(fixtures_dir / "corpus.txt"), "--gazetteer",
+                str(fixtures_dir / "gazetteer.tsv"), "--patterns", str(fixtures_dir / "patterns.tsv"),
+                "--max-span", "5", "--out", str(out)])
+    assert code == 1
+    assert "--max-span" in capsys.readouterr().err
+    assert not out.exists()

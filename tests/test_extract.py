@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geotri import extract
 from geotri.extract import (
     _CLASS_WORDS,
     EntitySpan,
@@ -169,12 +170,57 @@ def test_match_relation_requires_connector_phrase():
     assert match_relation(tokens, left, right, demo_patterns()) is None
 
 
-def test_match_relation_enforces_gap_limit():
-    tokens = tokenize("Rio de Janeiro, which is in New York.")
-    left, right = spans_for(tokens)
+def test_match_relation_enforces_gap_limit(monkeypatch):
+    # The limit is the longest pattern's gap; a longer gap is rejected unclassed.
     patterns = demo_patterns()
-    assert match_relation(tokens, left, right, patterns, max_gap=4) == "in"
-    assert match_relation(tokens, left, right, patterns, max_gap=3) is None
+    assert patterns.max_gap == 4
+    assert PatternSet(patterns.syntactic_patterns[::2], patterns.relation_strings).max_gap == 3
+    fits = tokenize("Rio de Janeiro, which is in New York.")
+    too_long = tokenize("Rio de Janeiro, which is right in New York.")
+    fits_spans, too_long_spans = spans_for(fits), spans_for(too_long)
+    classed = []
+    monkeypatch.setattr(extract, "token_class", lambda t: classed.append(t) or token_class(t))
+    assert match_relation(fits, *fits_spans, patterns) == "in"
+    assert classed == [",", "which", "is", "in"]
+    classed.clear()
+    assert match_relation(too_long, *too_long_spans, patterns) is None
+    assert classed == []
+
+
+def test_long_pattern_matches():
+    patterns = PatternSet(
+        (("ENTITY", "PUNCT", "WDT", "VBZ", "RB", "VBN", "JJ", "TO", "ENTITY"),),
+        {"next to": (("next", "to"),)},
+    )
+    tokens = tokenize("Brooklyn, which is directly located next to Boston.")
+    left, right = spans_for(tokens)
+    assert match_relation(tokens, left, right, patterns) == "next to"
+    assert patterns.max_gap == 7
+
+
+def test_six_word_name_is_tagged_and_extracted():
+    long_name = "Church of Saint Mary the Virgin"
+    gaz = build_gazetteer(
+        [GazetteerEntry(long_name, (), 51.75, -1.25), GazetteerEntry("Boston", (), 42.36, -71.06)]
+    )
+    tokens = tokenize(f"The {long_name} is near Boston.")
+    assert [(s.token_start, s.token_end, s.surface) for s in tag_entities(tokens, gaz)] == [
+        (1, 7, long_name),
+        (9, 10, "Boston"),
+    ]
+    triplets = extract_triplets([f"The {long_name} is near Boston."], gaz, demo_patterns())
+    assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == [(long_name, "near", "Boston")]
+    assert gaz.max_words == 6
+
+
+def test_tagging_span_is_the_longest_indexed_name():
+    # "O'Hare" normalizes to two words, so a one-token span can match a two-word name.
+    gaz = build_gazetteer([GazetteerEntry("O'Hare", ("Chicago O'Hare Airport",), 41.98, -87.9)])
+    assert gaz.max_words == 4
+    assert [s.surface for s in tag_entities(tokenize("Flights from O'Hare and Chicago O'Hare Airport."), gaz)] == [
+        "O'Hare",
+        "Chicago O'Hare Airport",
+    ]
 
 
 def test_match_relation_longest_connector_wins():
@@ -215,12 +261,6 @@ def test_pattern_set_validation():
         PatternSet((("ENTITY", "IN", "ENTITY"),), {"Near": (("near",),)})
     with pytest.raises(ValueError):
         PatternSet((("ENTITY", "IN", "ENTITY"),), {"near": ()})
-
-
-def test_pattern_set_without_label():
-    trimmed = demo_patterns().without_label("near")
-    assert "near" not in trimmed.relation_strings
-    assert "in" in trimmed.relation_strings
 
 
 def test_load_patterns_pools_rules(patterns):

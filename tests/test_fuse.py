@@ -1,5 +1,6 @@
 """Observation subsampling, evidence fusion, and scenario serialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -271,6 +272,20 @@ def test_scenario_file_round_trip(tmp_path):
     save_scenario(scenario, str(path))
     loaded = load_scenario(str(path))
     assert loaded == scenario
+
+
+def test_consistent_scenario_matches_golden_digest():
+    # Pins the generator's output across seeds, sizes, bboxes, grid dims and hidden points.
+    digest = hashlib.sha256()
+    for n, seed in ((1, 0), (12, 77), (40, 2000), (150, 31)):
+        for bbox, dim, unknown_at in (
+            (CITY_BBOX, 15, (0.65, 0.3)),
+            ((40.02, 116.05, 40.2, 116.3), 30, (0.5, 0.5)),
+            ((-33.95, 151.1, -33.8, 151.3), 60, (0.2, 0.8)),
+        ):
+            s = consistent_scenario(n, seed, bbox=bbox, dim=dim, unknown_at=unknown_at)
+            digest.update(repr((s.unknown, s.observations, s.bbox, s.dim)).encode())
+    assert digest.hexdigest() == "0f69d30bbd5d4453bf8ff3433164e98fa42ad7a021f4e1fab3a2d02426c4b54a"
 
 
 def test_scenario_fixture_loads(fixtures_dir):

@@ -14,20 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geotri.mixture import (
+    ACCEPT_TOL,
+    EM_MAX_ITER,
+    EM_TOL,
     VARIANCE_FLOOR,
     GaussianComponent,
     GmmModel,
     InsufficientDataError,
     InvalidParameterError,
     TrainingConfig,
-    _component_logpdf,
     _floor_covariance,
     _insert_component,
     _logsumexp,
     _refine_candidates,
     derive_seed,
     em_fit,
-    gaussian_pdf,
     generate_candidates,
     gmm_log_likelihood,
     greedy_train,
@@ -109,7 +110,8 @@ def test_component_logpdf_matches_inverse_determinant_formula():
         diff = x - mean
         quad = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(cov), diff)
         naive = -math.log(2.0 * math.pi) - 0.5 * math.log(np.linalg.det(cov)) - 0.5 * quad
-        np.testing.assert_allclose(_component_logpdf(x, mean, cov), naive, rtol=0.0, atol=1e-12)
+        model = GmmModel("r", (GaussianComponent(1.0, mean, cov),))
+        np.testing.assert_allclose(model.logpdf(x), naive, rtol=0.0, atol=1e-12)
 
 
 def test_package_trains_and_scores_without_scipy():
@@ -159,13 +161,15 @@ def test_gaussian_pdf_closed_form_at_mean():
     cov = np.array([[2.0, 0.3], [0.3, 1.5]])
     component = GaussianComponent(1.0, [3.0, 4.0], cov)
     expected = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
-    assert gaussian_pdf([3.0, 4.0], component) == pytest.approx(expected, rel=1e-12)
+    density = math.exp(GmmModel("r", (component,)).logpdf([3.0, 4.0])[0])
+    assert density == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_pdf_isotropic_offset():
     component = GaussianComponent(1.0, [0.0, 0.0], np.eye(2))
     expected = math.exp(-0.5) / (2.0 * math.pi)
-    assert gaussian_pdf([1.0, 0.0], component) == pytest.approx(expected, rel=1e-12)
+    density = math.exp(GmmModel("r", (component,)).logpdf([1.0, 0.0])[0])
+    assert density == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_likelihood_matches_naive_oracle_single_gaussian():
@@ -203,12 +207,6 @@ def test_training_config_validation():
         TrainingConfig(max_components=0)
     with pytest.raises(ValueError):
         TrainingConfig(candidates_per_component=0)
-    with pytest.raises(ValueError):
-        TrainingConfig(em_tol=0.0)
-    with pytest.raises(ValueError):
-        TrainingConfig(em_max_iter=0)
-    with pytest.raises(ValueError):
-        TrainingConfig(accept_tol=-0.1)
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -220,7 +218,7 @@ def test_derive_seed_is_stable_and_label_sensitive():
 def test_em_single_component_equals_moment_estimates():
     x = single_data(500, 1.0, seed=0)
     start = GmmModel("near", (GaussianComponent(1.0, [0.0, 0.0], np.eye(2) * 100.0),))
-    fitted = em_fit(x, start, TrainingConfig())
+    fitted = em_fit(x, start)
     sample_mean = x.mean(axis=0)
     sample_cov = np.cov(x.T, ddof=0)
     assert np.abs(fitted.components[0].mean - sample_mean).max() <= 1e-9
@@ -240,7 +238,7 @@ def test_em_history_non_decreasing():
             ),
         )
         history: list[float] = []
-        em_fit(x, start, TrainingConfig(), history=history)
+        em_fit(x, start, history=history)
         for earlier, later in zip(history, history[1:]):
             assert later >= earlier - 1e-8 * max(1.0, abs(earlier))
 
@@ -254,13 +252,13 @@ def test_em_requires_enough_points():
         ),
     )
     with pytest.raises(InsufficientDataError):
-        em_fit(np.array([[0.0, 0.0]]), model, TrainingConfig())
+        em_fit(np.array([[0.0, 0.0]]), model)
 
 
 def test_em_floors_covariance_on_degenerate_data():
     x = np.zeros((50, 2))
     start = GmmModel("r", (GaussianComponent(1.0, [1.0, 1.0], np.eye(2)),))
-    fitted = em_fit(x, start, TrainingConfig())
+    fitted = em_fit(x, start)
     eigvals = np.linalg.eigvalsh(fitted.components[0].covariance)
     assert eigvals.min() >= VARIANCE_FLOOR * (1.0 - 1e-9)
     fitted.validate()
@@ -314,7 +312,7 @@ def test_greedy_never_degrades_log_likelihood():
     start = GmmModel(
         "near", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),)
     )
-    baseline = em_fit(x, start, cfg)
+    baseline = em_fit(x, start)
     assert gmm_log_likelihood(x, grown) >= gmm_log_likelihood(x, baseline) - 1e-9
 
 
@@ -363,7 +361,7 @@ def test_em_monotone_for_random_seeds(seed):
         ),
     )
     history: list[float] = []
-    em_fit(x, start, TrainingConfig(), history=history)
+    em_fit(x, start, history=history)
     assert all(b >= a - 1e-8 * max(1.0, abs(a)) for a, b in zip(history, history[1:]))
 
 
@@ -455,14 +453,14 @@ def eigh_floor(cov):
     return (floored + floored.T) / 2.0
 
 
-def refine_one(x, base_logpdf, candidate, cfg):
+def refine_one(x, base_logpdf, candidate):
     # The per-candidate partial-EM loop that lockstep refinement replaced.
     n = x.shape[0]
     alpha, mean, cov = candidate.weight, candidate.mean, candidate.covariance
     cand = cholesky_logpdf(x, mean, cov)
     log_mix = np.logaddexp(math.log1p(-alpha) + base_logpdf, math.log(alpha) + cand)
     loglik = float(log_mix.sum())
-    for _ in range(cfg.em_max_iter):
+    for _ in range(EM_MAX_ITER):
         resp = np.exp(math.log(alpha) + cand - log_mix)
         total = resp.sum()
         if total < 1e-10:
@@ -474,17 +472,17 @@ def refine_one(x, base_logpdf, candidate, cfg):
         cand = cholesky_logpdf(x, mean, cov)
         log_mix = np.logaddexp(math.log1p(-alpha) + base_logpdf, math.log(alpha) + cand)
         updated = float(log_mix.sum())
-        if updated - loglik <= cfg.em_tol * max(1.0, abs(updated)):
+        if updated - loglik <= EM_TOL * max(1.0, abs(updated)):
             loglik = updated
             break
         loglik = updated
     return GaussianComponent(float(alpha), mean, cov), loglik
 
 
-def refine_per_candidate(x, base_logpdf, candidates, cfg):
+def refine_per_candidate(x, base_logpdf, candidates):
     best, best_refined, best_mixed = None, None, -np.inf
     for index, candidate in enumerate(candidates):
-        refined, mixed = refine_one(x, base_logpdf, candidate, cfg)
+        refined, mixed = refine_one(x, base_logpdf, candidate)
         if mixed > best_mixed:
             best, best_refined, best_mixed = index, refined, mixed
     return best, best_refined, best_mixed
@@ -500,8 +498,8 @@ def test_every_round_selects_the_per_candidate_winner(label):
     while current.component_count < cfg.max_components:
         candidates = generate_candidates(x, current, cfg, rng=rng)
         base = current.logpdf(x)
-        index, refined, mixed = _refine_candidates(x, base, candidates, cfg)
-        ref_index, ref_refined, ref_mixed = refine_per_candidate(x, base, candidates, cfg)
+        index, refined, mixed = _refine_candidates(x, base, candidates)
+        ref_index, ref_refined, ref_mixed = refine_per_candidate(x, base, candidates)
         assert index == ref_index
         assert mixed == pytest.approx(ref_mixed, rel=1e-12)
         np.testing.assert_allclose(
@@ -510,9 +508,9 @@ def test_every_round_selects_the_per_candidate_winner(label):
             rtol=1e-9,
         )
         rounds += 1
-        grown = em_fit(x, _insert_component(current, refined), cfg)
+        grown = em_fit(x, _insert_component(current, refined))
         grown_ll = gmm_log_likelihood(x, grown)
-        if grown_ll <= current_ll + cfg.accept_tol * max(1.0, abs(current_ll)):
+        if grown_ll <= current_ll + ACCEPT_TOL * max(1.0, abs(current_ll)):
             break
         current, current_ll = grown, grown_ll
     assert rounds >= 2
@@ -526,10 +524,10 @@ def test_refinement_tie_goes_to_the_first_candidate():
     cfg = TrainingConfig(seed=2)
     base = model.logpdf(x)
     a, b = generate_candidates(x, model, cfg)[:2]
-    alone = {id(c): _refine_candidates(x, base, [c], cfg)[1:] for c in (a, b)}
+    alone = {id(c): _refine_candidates(x, base, [c])[1:] for c in (a, b)}
     assert alone[id(a)][1] != alone[id(b)][1]
     for order in ([a, b, b, a], [b, a, a, b], [a, a], [b, a, b, a, b]):
-        index, refined, mixed = _refine_candidates(x, base, order, cfg)
+        index, refined, mixed = _refine_candidates(x, base, order)
         # Duplicates refine to the same bits whatever else shares the round.
         scores = [alone[id(c)][1] for c in order]
         assert mixed == max(scores)
@@ -584,7 +582,7 @@ def test_floor_covariance_matches_eigh_oracle():
 def test_density_rejects_covariance_that_is_not_positive_definite(cov):
     bad = GaussianComponent(0.5, [1.0, 90.0], cov)
     with pytest.raises(InvalidParameterError, match="positive definite"):
-        gaussian_pdf([1.0, 90.0], bad)
+        GmmModel("near", (bad,)).logpdf([1.0, 90.0])
     model = GmmModel("near", (GaussianComponent(0.5, [0.0, 0.0], np.eye(2)), bad))
     with pytest.raises(InvalidParameterError, match="positive definite"):
         model.logpdf([[1.0, 90.0], [2.0, 80.0]])
@@ -599,7 +597,7 @@ def test_training_rejects_non_finite_rows_by_index(bad):
     cfg = TrainingConfig(max_components=2)
     calls = (
         lambda: greedy_train(x, "r", cfg),
-        lambda: em_fit(x, model, cfg),
+        lambda: em_fit(x, model),
         lambda: generate_candidates(x, model, cfg),
     )
     with warnings.catch_warnings():

@@ -489,6 +489,20 @@ def test_oracle_from_file_rejects_non_finite_values_with_line(tmp_path, value):
         RelationOracle.from_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("near_km\t-1", "distance thresholds must be positive"),
+        ("sector_half_width_deg\t120", "sector half-width must lie in"),
+    ],
+)
+def test_oracle_from_file_rejects_out_of_range_values_with_line(tmp_path, line, message):
+    path = tmp_path / "oracle.tsv"
+    path.write_text(f"at_km\t2.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"oracle\.tsv:2: {message}"):
+        RelationOracle.from_file(str(path))
+
+
 def test_oracle_from_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "oracle.tsv"
     path.write_text("bogus_km\t1.0\n", encoding="utf-8")
