@@ -6,10 +6,10 @@ for each subsampling fraction.
 """
 
 import argparse
-import os
 
 import numpy as np
 
+from geotri.cli import _default_seed
 from geotri.fuse import fuse
 from geotri.synth import consistent_scenario, train_city
 
@@ -21,10 +21,14 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--scenarios", type=int, default=20)
     parser.add_argument("--fractions", default="0.1,0.5,1.0")
     parser.add_argument("--fusion", choices=["product", "sum"], default="product")
-    parser.add_argument(
-        "--seed", type=int, default=int(os.environ.get("GEOTRI_SEED", "0"))
-    )
-    return parser.parse_args()
+    parser.add_argument("--seed", type=int, default=None, help="default: GEOTRI_SEED, else 0")
+    args = parser.parse_args()
+    if args.seed is None:
+        try:
+            args.seed = _default_seed()
+        except ValueError as exc:
+            parser.exit(1, f"{exc}\n")
+    return args
 
 
 def main() -> None:

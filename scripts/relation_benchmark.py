@@ -5,10 +5,10 @@ grid, and prints mean top-K and qualitative accuracy for each family.
 """
 
 import argparse
-import os
 
 import numpy as np
 
+from geotri.cli import _default_seed
 from geotri.predict import RelationOracle, prediction_trial, qualitative_accuracy
 from geotri.synth import CITY_BBOX, train_city
 
@@ -21,10 +21,14 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--grid-dim", type=int, default=15)
     parser.add_argument("--max-components", type=int, default=5)
     parser.add_argument("--topk", default="1,5,10,20")
-    parser.add_argument(
-        "--seed", type=int, default=int(os.environ.get("GEOTRI_SEED", "0"))
-    )
-    return parser.parse_args()
+    parser.add_argument("--seed", type=int, default=None, help="default: GEOTRI_SEED, else 0")
+    args = parser.parse_args()
+    if args.seed is None:
+        try:
+            args.seed = _default_seed()
+        except ValueError as exc:
+            parser.exit(1, f"{exc}\n")
+    return args
 
 
 def main() -> None:

@@ -213,8 +213,7 @@ def _cmd_train(args) -> None:
 
 
 def _write_geojson(path: str, grid, region_likelihoods) -> None:
-    # Compact: with ``indent`` json.dumps falls back to its pure-Python encoder.
-    write_text(path, json.dumps(surface_to_geojson(grid, region_likelihoods)) + "\n")
+    write_text(path, surface_to_geojson(grid, region_likelihoods) + "\n")
 
 
 def _cmd_predict(args) -> None:
@@ -327,18 +326,18 @@ _HANDLERS = {
     "predict": _cmd_predict,
     "fuse": _cmd_fuse,
 }
+_PARSER = _build_parser()
 
 
 def run(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     if args.command is None:
-        print(parser.format_usage(), file=sys.stderr)
+        print(_PARSER.format_usage(), file=sys.stderr)
         return 1
     try:
         if "seed" in vars(args) and args.seed is None:

@@ -27,6 +27,7 @@ is uniform and every vertex counts as underflowed.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -98,10 +99,12 @@ class Grid:
 
 
 def check_grid(bbox: tuple[float, float, float, float], dim: int) -> None:
-    """Reject ``dim`` < 2 and a (min_lat, min_lon, max_lat, max_lon) ``bbox`` with an empty extent."""
+    """Reject ``dim`` < 2 and a (min_lat, min_lon, max_lat, max_lon) ``bbox`` not finite or with an empty extent."""
     min_lat, min_lon, max_lat, max_lon = bbox
     if dim < 2:
         raise ValueError("grid dim must be >= 2")
+    if not all(map(math.isfinite, bbox)):
+        raise ValueError(f"non-finite bbox: {bbox}")
     if not (min_lat < max_lat and min_lon < max_lon):
         raise ValueError(f"degenerate bbox: {bbox}")
 
@@ -288,9 +291,12 @@ def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tupl
 
 
 def score_point(point, grid: Grid, models) -> PredictionSurface:
-    """Score every grid vertex and region as the location of ``point``."""
+    """Score every grid vertex and region as the location of ``point``; it may lie outside the grid's bbox."""
+    lat, lon = _latlon(point)
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"point ({lat}, {lon}) is not finite")
     tables = _scoring_tables(grid, models)
-    labels, choices, best_log = _select_models(np.array([_latlon(point)]), grid, models)
+    labels, choices, best_log = _select_models(np.array([(lat, lon)]), grid, models)
     fused, peak = _score_block(grid, tables, choices)
     if np.isinf(peak[0]):
         underflow = tuple(range(grid.vertex_count))
@@ -478,31 +484,30 @@ def qualitative_accuracy(trial: PredictionTrial, oracle: RelationOracle) -> floa
 def surface_to_csv(grid: Grid, region_likelihoods: np.ndarray) -> str:
     """Region likelihoods as ``region_row,region_col,likelihood`` CSV text."""
     cells = grid.dim - 1
+    values = np.asarray(region_likelihoods, dtype=float).tolist()
     lines = ["region_row,region_col,likelihood"]
-    for index, value in enumerate(region_likelihoods):
-        lines.append(f"{index // cells},{index % cells},{float(value)!r}")
+    lines += [f"{index // cells},{index % cells},{value!r}" for index, value in enumerate(values)]
     return "\n".join(lines) + "\n"
 
 
-def surface_to_geojson(grid: Grid, region_likelihoods: np.ndarray) -> dict:
-    """Region likelihoods as a GeoJSON FeatureCollection of cell polygons."""
-    cells = grid.dim - 1
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each value as ``json.dumps`` spells it, ``NaN`` and ``Infinity`` included."""
+    return json.dumps(values.tolist())[1:-1].split(", ") if values.size else []
+
+
+def surface_to_geojson(grid: Grid, region_likelihoods: np.ndarray) -> str:
+    """Region likelihoods as GeoJSON FeatureCollection text, as ``json.dumps`` writes it; positions encoded once."""
+    feature = (
+        '{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [[%s, %s, %s, %s, %s]]}, '
+        '"properties": {"region_row": %d, "region_col": %d, "likelihood": %s}}'
+    )
+    dim, cells = grid.dim, grid.dim - 1
+    lons = _json_floats(grid.vertices[:dim, 1])
+    positions = [f"[{lon}, {lat}]" for lat in _json_floats(grid.vertices[::dim, 0]) for lon in lons]
+    regions = grid.regions.tolist()
     features = []
-    for index, value in enumerate(region_likelihoods):
-        bl, br, tl, tr = grid.regions[index]
-        ring = [
-            [float(grid.vertices[v, 1]), float(grid.vertices[v, 0])]
-            for v in (bl, br, tr, tl, bl)
-        ]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-                "properties": {
-                    "region_row": index // cells,
-                    "region_col": index % cells,
-                    "likelihood": float(value),
-                },
-            }
-        )
-    return {"type": "FeatureCollection", "features": features}
+    for index, value in enumerate(_json_floats(np.asarray(region_likelihoods, dtype=float))):
+        bl, br, tl, tr = regions[index]
+        ring = positions[bl], positions[br], positions[tr], positions[tl], positions[bl]
+        features.append(feature % (*ring, index // cells, index % cells, value))
+    return '{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -427,7 +428,7 @@ def test_predict_point_surface_export(models_dir, tmp_path, capsys):
     assert len(collection["features"]) == 196
     grid = make_grid((40.0, 116.0, 40.18, 116.235), 15)
     surface = score_point((40.09, 116.12), grid, load_models_dir(models_dir))
-    assert collection == surface_to_geojson(grid, surface.region_likelihoods)
+    assert collection == json.loads(surface_to_geojson(grid, surface.region_likelihoods))
 
 
 def test_predict_accuracy_summary(models_dir, capsys):
@@ -471,6 +472,37 @@ def test_predict_rejects_bad_bbox(models_dir, capsys):
     )
     assert code == 1
     assert "bbox" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--point", "nan,116.1", "point (nan, 116.1) is not finite"),
+        ("--point", "40.09,inf", "point (40.09, inf) is not finite"),
+        ("--bbox", "-inf,116.0,40.18,116.235", "non-finite bbox"),
+        ("--bbox", "40.0,116.0,nan,116.235", "non-finite bbox"),
+    ],
+)
+def test_predict_rejects_non_finite_point_and_bbox(models_dir, tmp_path, capsys, flag, value, message):
+    args = {"--bbox": "40.0,116.0,40.18,116.235", "--point": "40.09,116.12", flag: value}
+    argv = ["predict", "--models", str(models_dir), "--grid-dim", "5", "--surface-out", str(tmp_path / "s")]
+    argv += [f"{key}={text}" for key, text in args.items()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_predict_accepts_finite_point_outside_bbox(models_dir, tmp_path, capsys):
+    argv = ["predict", "--models", str(models_dir), "--bbox", "40.0,116.0,40.18,116.235", "--grid-dim", "5",
+            "--point", "41.5,115.0", "--surface-out", str(tmp_path / "s")]
+    assert run(argv) == 0
+    assert parse_summary(capsys)["point_lat"] == "41.5"
+    assert (tmp_path / "s.geojson").exists()
 
 
 def test_fuse_writes_estimate_and_surface(models_dir, fixtures_dir, tmp_path, capsys):
@@ -594,6 +626,36 @@ def test_explicit_seed_ignores_invalid_environment(
     argv = seed_commands(fixtures_dir, feature_dir, models_dir, tmp_path / "out")[command]
     assert run(argv + ["--seed", "9"]) == 0
     assert parse_summary(capsys)["command"] == command
+
+
+def test_repeated_runs_in_one_process_share_no_parser_state(fixtures_dir, models_dir, tmp_path, monkeypatch, capsys):
+    bbox = "40.0,116.0,40.18,116.235"
+    point = ["predict", "--models", str(models_dir), "--bbox", bbox, "--grid-dim", "4", "--point", "40.09,116.12"]
+    assert run(point + ["--surface-out", str(tmp_path / "refused"), "--seed", "99", "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(point) == 0
+    assert parse_summary(capsys)["surface_out"] == "none"
+    prefix = tmp_path / "surface"
+    assert run(point + ["--surface-out", str(prefix)]) == 0
+    assert parse_summary(capsys)["surface_out"] == str(prefix)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surface.csv", "surface.geojson"]
+    fused = {}
+    for env_seed in ("5", "6", "5"):
+        monkeypatch.setenv("GEOTRI_SEED", env_seed)
+        out = tmp_path / f"env{env_seed}"
+        argv = ["fuse", "--scenario", str(fixtures_dir / "scenario_demo.tsv"), "--models", str(models_dir),
+                "--fraction", "0.5", "--out", str(out)]
+        assert run(argv) == 0
+        fused.setdefault(env_seed, []).append(parse_summary(capsys)["error_km"])
+        assert run(argv[:-1] + [str(tmp_path / f"explicit{env_seed}"), "--seed", env_seed]) == 0
+        assert parse_summary(capsys)["error_km"] == fused[env_seed][-1]
+        assert sha256(out.with_suffix(".geojson")) == sha256(tmp_path / f"explicit{env_seed}.geojson")
+        accuracy = ["predict", "--models", str(models_dir), "--bbox", bbox, "--grid-dim", "5", "--points", "5",
+                    "--topk", "2"]
+        assert run(accuracy) == 0
+        assert parse_summary(capsys)["seed"] == env_seed
+    assert fused["5"][0] == fused["5"][1]
+    assert fused["5"][0] != fused["6"][0]
 
 
 def test_commands_without_seed_ignore_seed_environment(fixtures_dir, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Grid scoring: model selection, surface fusion, rankings, and the oracle."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +90,30 @@ def test_grid_validation():
         make_grid(BBOX, 1)
     with pytest.raises(ValueError):
         make_grid((40.0, 116.0, 40.0, 116.2), 5)
+
+
+@pytest.mark.parametrize("corner", [0, 1, 2, 3])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_bbox_before_numpy(corner, value):
+    bbox = list(BBOX)
+    bbox[corner] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite bbox"):
+            make_grid(tuple(bbox), 5)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 116.1), (40.05, math.inf), (-math.inf, 116.1)])
+def test_score_point_rejects_non_finite_point(point):
+    grid = make_grid(BBOX, 5)
+    with pytest.raises(ValueError, match=r"point \(.*\) is not finite"):
+        score_point(point, grid, demo_models())
+
+
+def test_score_point_accepts_finite_point_outside_bbox():
+    grid = make_grid(BBOX, 5)
+    surface = score_point((BBOX[2] + 0.5, BBOX[1] - 0.5), grid, demo_models())
+    assert math.fsum(surface.fused_vertex) == pytest.approx(1.0)
 
 
 def test_region_containing_cells_and_edges():
@@ -431,7 +457,7 @@ def test_surface_csv_layout():
 def test_surface_geojson_structure():
     grid = make_grid(BBOX, 3)
     surface = score_point((40.05, 116.1), grid, demo_models())
-    collection = surface_to_geojson(grid, surface.region_likelihoods)
+    collection = json.loads(surface_to_geojson(grid, surface.region_likelihoods))
     assert collection["type"] == "FeatureCollection"
     assert len(collection["features"]) == grid.region_count
     feature = collection["features"][0]
@@ -443,6 +469,65 @@ def test_surface_geojson_structure():
     # GeoJSON positions are (lon, lat).
     lons = [p[0] for p in ring]
     assert all(BBOX[1] <= lon <= BBOX[3] for lon in lons)
+
+
+def reference_csv(grid, region_likelihoods) -> str:
+    """The surface CSV written one numpy scalar at a time."""
+    cells = grid.dim - 1
+    lines = ["region_row,region_col,likelihood"]
+    for index, value in enumerate(region_likelihoods):
+        lines.append(f"{index // cells},{index % cells},{float(value)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_geojson(grid, region_likelihoods) -> str:
+    """The surface FeatureCollection built as dicts and encoded by ``json.dumps``."""
+    cells = grid.dim - 1
+    vertices, regions = grid.vertices.tolist(), grid.regions.tolist()
+    features = []
+    for index, value in enumerate(region_likelihoods):
+        bl, br, tl, tr = regions[index]
+        ring = [[vertices[v][1], vertices[v][0]] for v in (bl, br, tr, tl, bl)]
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {"type": "Polygon", "coordinates": [ring]},
+                "properties": {"region_row": index // cells, "region_col": index % cells, "likelihood": float(value)},
+            }
+        )
+    return json.dumps({"type": "FeatureCollection", "features": features})
+
+
+# Zero, the smallest subnormal, one and the non-finite values, each placed
+# every seventh region; the other regions hold random values of many magnitudes.
+EXPORT_SPECIALS = [0.0, 5e-324, 1.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bbox", [CITY_BBOX, (40.0, 116.0, 40.0004, 116.0007), (60.0, 10.6, 60.18, 10.95)])
+def test_surface_exports_match_reference_byte_for_byte(bbox):
+    rng = np.random.default_rng(7)
+    for dim in range(2, 61):
+        grid = make_grid(bbox, dim)
+        values = rng.random(grid.region_count) ** rng.integers(1, 41, grid.region_count)
+        for offset, special in enumerate(EXPORT_SPECIALS):
+            values[offset::7] = special
+        assert surface_to_geojson(grid, values) == reference_geojson(grid, values), dim
+        assert surface_to_csv(grid, values) == reference_csv(grid, values), dim
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324, 1.0])
+def test_surface_exports_match_reference_on_constant_surfaces(value):
+    grid = make_grid(BBOX, 9)
+    values = np.full(grid.region_count, value)
+    assert surface_to_geojson(grid, values) == reference_geojson(grid, values)
+    assert surface_to_csv(grid, values) == reference_csv(grid, values)
+
+
+def test_surface_geojson_spells_non_finite_likelihoods_as_json():
+    grid = make_grid(BBOX, 3)
+    text = surface_to_geojson(grid, np.array([math.nan, math.inf, -math.inf, 0.5]))
+    likelihoods = [part.split("}")[0] for part in text.split('"likelihood": ')[1:]]
+    assert likelihoods == ["NaN", "Infinity", "-Infinity", "0.5"]
 
 
 def test_oracle_proximity_predicates():

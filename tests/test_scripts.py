@@ -5,19 +5,28 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> list[str]:
+def script_result(name: str, *args: str, seed_env: str | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
+    env.pop("GEOTRI_SEED", None)
+    if seed_env is not None:
+        env["GEOTRI_SEED"] = seed_env
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    result = script_result(name, *args)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
 
@@ -45,3 +54,21 @@ def test_fusion_trend_runs():
     for line in lines[2:]:
         mean_km, min_km, max_km = (float(v) for v in line.split()[1:])
         assert 0.0 <= min_km <= mean_km <= max_km
+
+
+SCRIPTS = ["relation_benchmark.py", "fusion_trend.py"]
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_help_ignores_invalid_seed_environment(name):
+    result = script_result(name, "--help", seed_env="abc")
+    assert result.returncode == 0, result.stderr
+    assert "--seed" in result.stdout
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_invalid_seed_environment_is_one_line_error(name):
+    result = script_result(name, seed_env="abc")
+    assert result.returncode != 0
+    assert result.stdout == ""
+    assert result.stderr == "GEOTRI_SEED must be an integer, got 'abc'\n"
