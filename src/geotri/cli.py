@@ -217,9 +217,14 @@ def _write_geojson(path: str, grid, region_likelihoods) -> None:
 
 
 def _cmd_predict(args) -> None:
+    point_mode = args.point is not None
+    unused = {"--points": args.points, "--topk": args.topk} if point_mode else {"--surface-out": args.surface_out}
+    for flag, value in unused.items():
+        if value is not None:
+            raise ValueError(f"{flag} is not used {'with' if point_mode else 'without'} --point")
     models = load_models_dir(args.models)
     bbox = _parse_bbox(args.bbox)
-    if args.point is not None:
+    if point_mode:
         parts = args.point.split(",")
         if len(parts) != 2:
             raise ValueError("point must be lat,lon")
@@ -240,14 +245,14 @@ def _cmd_predict(args) -> None:
             surface_out=args.surface_out or "none",
         )
     else:
-        accuracy = prediction_accuracy(
-            models, bbox, args.grid_dim, args.points, args.topk, args.seed
-        )
+        points = 2000 if args.points is None else args.points
+        topk = 20 if args.topk is None else args.topk
+        accuracy = prediction_accuracy(models, bbox, args.grid_dim, points, topk, args.seed)
         _summary(
             command="predict",
             grid_dim=args.grid_dim,
-            points=args.points,
-            topk=args.topk,
+            points=points,
+            topk=topk,
             seed=args.seed,
             accuracy=repr(accuracy),
         )
@@ -302,11 +307,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--models", required=True, help="directory of *.model files")
     p.add_argument("--bbox", required=True, help="min_lat,min_lon,max_lat,max_lon")
     p.add_argument("--grid-dim", type=int, default=15)
-    p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--topk", type=int, default=20)
+    p.add_argument("--points", type=int, default=None, help="without --point: sampled points (default 2000)")
+    p.add_argument("--topk", type=int, default=None, help="without --point: regions counted as a hit (default 20)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--point", default=None, help="lat,lon: score this point instead")
-    p.add_argument("--surface-out", default=None, help="prefix for .csv/.geojson export")
+    p.add_argument("--surface-out", default=None, help="with --point: prefix for .csv/.geojson export")
 
     p = sub.add_parser("fuse", help="estimate an unknown location from a scenario")
     p.add_argument("--scenario", required=True)

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .atomic import read_tsv, write_tsv
-from .gazetteer import Gazetteer, Poi, geocode
+from .gazetteer import Gazetteer, Poi, normalize_name
 
 __all__ = [
     "EntitySpan",
@@ -42,6 +42,7 @@ __all__ = [
 _TOKEN = re.compile(r"\w+(?:'\w+)?|[^\w\s]")
 _BOUNDARY = re.compile(r"([.!?]+)(\s+)")
 _WORD_BEFORE = re.compile(r"(\w+)\W*$")
+_WORD = re.compile(r"\w")
 
 # Sentence terminators after these words are abbreviation dots, not boundaries.
 _ABBREVIATIONS = frozenset(
@@ -114,7 +115,7 @@ def tokenize(sentence: str) -> list[str]:
 
 def token_class(token: str) -> str:
     """Map a gap token onto its closed-class tag (UNK when unlisted)."""
-    if not re.search(r"\w", token):
+    if not _WORD.search(token):
         return "PUNCT"
     lowered = token.lower()
     if lowered in _WORD_CLASS:
@@ -159,13 +160,15 @@ class PatternSet:
 
     ``syntactic_patterns`` holds token-class sequences with an ENTITY slot
     at each end; ``relation_strings`` maps each relation label to the
-    connector phrases (token tuples) that assert it. ``max_gap``, the gap
-    length of the longest pattern, is derived from the patterns.
+    connector phrases (token tuples) that assert it. Derived: ``max_gap``,
+    the longest pattern's gap length, and ``phrases``, each connector as
+    space-padded text with its label, longest first, then by label.
     """
 
     syntactic_patterns: tuple[tuple[str, ...], ...]
     relation_strings: dict[str, tuple[tuple[str, ...], ...]]
     max_gap: int = field(init=False)
+    phrases: tuple[tuple[str, str], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for pattern in self.syntactic_patterns:
@@ -179,9 +182,11 @@ class PatternSet:
         for label, connectors in self.relation_strings.items():
             if not label or label != label.lower():
                 raise ValueError(f"labels must be non-empty and lowercase: {label!r}")
-            if not connectors or any(not c for c in connectors):
-                raise ValueError(f"label {label!r} needs non-empty connector phrases")
+            if not connectors or any(not c or any(w.split() != [w] for w in c) for c in connectors):
+                raise ValueError(f"label {label!r} needs connector phrases of whitespace-free words")
         object.__setattr__(self, "max_gap", max(map(len, self.syntactic_patterns), default=2) - 2)
+        ranked = sorted((-len(c), label, " ".join(c)) for label, cs in self.relation_strings.items() for c in cs)
+        object.__setattr__(self, "phrases", tuple((f" {text} ", label) for _, label, text in ranked))
 
 
 def _rule(fields: list[str]) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
@@ -214,36 +219,31 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
     """Greedy longest-match gazetteer tagging, left to right.
 
     Candidate spans never include punctuation tokens (normalization would
-    otherwise let "Rio de Janeiro ," shadow the comma) and must geocode
-    exactly (edit distance 0) after normalization. Every other token
-    normalizes to at least one word, so no span longer than
-    ``gaz.max_words`` tokens can match and none is tried.
+    otherwise let "Rio de Janeiro ," shadow the comma) and must match an
+    indexed name exactly. A span's key is the space-join of its tokens'
+    keys, each normalized once; every such key has at least one word, so no
+    span longer than ``gaz.max_words`` tokens can match and none is tried.
     """
+    keys = [normalize_name(token) or None for token in tokens]
+    keys.append(None)  # ends the last window at the end of the sentence
     spans: list[EntitySpan] = []
-    punct = [token_class(t) == "PUNCT" for t in tokens]
     i = 0
     n = len(tokens)
     while i < n:
-        found = None
-        for length in range(min(gaz.max_words, n - i), 0, -1):
-            if any(punct[i : i + length]):
-                continue
-            surface = " ".join(tokens[i : i + length])
-            poi = geocode(surface, gaz, max_edit=0)
-            if poi is not None:
-                found = EntitySpan(i, i + length, surface, poi)
+        stop = i
+        while stop < i + gaz.max_words and keys[stop] is not None:
+            stop += 1
+        for end in range(stop, i, -1):
+            positions = gaz.name_index.get(" ".join(keys[i:end]))
+            if positions is not None:
+                entry = gaz.entries[positions[0]]
+                poi = Poi(entry.name, entry.lat, entry.lon)
+                spans.append(EntitySpan(i, end, " ".join(tokens[i:end]), poi))
+                i = end
                 break
-        if found is not None:
-            spans.append(found)
-            i = found.token_end
         else:
             i += 1
     return spans
-
-
-def _contains_phrase(gap: list[str], phrase: tuple[str, ...]) -> bool:
-    width = len(phrase)
-    return any(tuple(gap[k : k + width]) == phrase for k in range(len(gap) - width + 1))
 
 
 def match_relation(
@@ -267,16 +267,10 @@ def match_relation(
     sequence = ("ENTITY", *[token_class(t) for t in gap], "ENTITY")
     if sequence not in patterns.syntactic_patterns:
         return None
-    gap_lower = [t.lower() for t in gap]
-    matched: list[tuple[int, str]] = []
-    for label, connectors in patterns.relation_strings.items():
-        for connector in connectors:
-            if _contains_phrase(gap_lower, connector):
-                matched.append((-len(connector), label))
-                break
-    if not matched:
-        return None
-    return min(matched)[1]
+    # Tokens and connector words hold no whitespace, so a phrase occurs in
+    # the gap exactly when its space-padded text is a substring.
+    text = f" {' '.join(gap).lower()} "
+    return next((label for phrase, label in patterns.phrases if phrase in text), None)
 
 
 def extract_triplets(corpus, gaz: Gazetteer, patterns: PatternSet) -> list[Triplet]:

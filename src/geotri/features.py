@@ -127,10 +127,13 @@ def build_training_sets(triplets, origin: ProjectionOrigin) -> dict[str, Trainin
     Every triplet contributes exactly one feature vector to the set of its
     label; the total size across sets equals the number of triplets.
     """
+    triplets = list(triplets)
+    coords = [(t.subject.lat, t.subject.lon, t.object.lat, t.object.lon) for t in triplets]
+    distance, orientation = feature_components(*np.array(coords, dtype=float).reshape(-1, 4).T, origin)
     sets: dict[str, TrainingSet] = {}
-    for triplet in triplets:
+    for triplet, dist, angle in zip(triplets, distance.tolist(), orientation.tolist()):
         bucket = sets.setdefault(triplet.relation, TrainingSet(triplet.relation))
-        bucket.vectors.append(feature_vector(triplet.subject, triplet.object, origin))
+        bucket.vectors.append(SpatialFeatureVector(dist, angle))
     return sets
 
 

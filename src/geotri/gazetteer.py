@@ -66,17 +66,15 @@ class GazetteerEntry:
             raise ValueError("entry name must be non-empty")
         _check_coords(self.lat, self.lon)
 
-    def all_names(self) -> tuple[str, ...]:
-        return (self.name, *self.alt_names)
-
 
 @dataclass(frozen=True)
 class Gazetteer:
     """Entries plus an index from normalized name to entry positions.
 
-    ``max_words`` is the word count of the longest indexed name, derived
-    from ``name_index``. Instances are treated as immutable after
-    construction and may be shared freely across worker threads.
+    Each ``name_index`` list starts with its key's exact-match winner (the
+    smallest canonical name, the earliest listed among equal names), and
+    ``max_words`` is the longest indexed name's word count; both are settled
+    at construction. Instances are then immutable and thread-shareable.
     """
 
     entries: list[GazetteerEntry]
@@ -85,6 +83,9 @@ class Gazetteer:
     max_words: int = field(init=False)
 
     def __post_init__(self) -> None:
+        for positions in self.name_index.values():
+            if len(positions) > 1:
+                positions.sort(key=lambda pos: self.entries[pos].name)
         words = max((key.count(" ") + 1 for key in self.name_index), default=0)
         object.__setattr__(self, "max_words", words)
 
@@ -94,13 +95,15 @@ class Gazetteer:
 
 def normalize_name(name: str) -> str:
     """Lowercase, replace punctuation with spaces, collapse whitespace."""
-    return _SPACE.sub(" ", _PUNCT.sub(" ", name.lower())).strip()
+    lowered = name.lower()
+    # Alphanumeric text is all word characters: there is nothing to replace.
+    return lowered if lowered.isalnum() else _SPACE.sub(" ", _PUNCT.sub(" ", lowered)).strip()
 
 
 def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gazetteer:
     index: dict[str, list[int]] = {}
     for pos, entry in enumerate(entries):
-        for name in entry.all_names():
+        for name in (entry.name, *entry.alt_names):
             key = normalize_name(name)
             if key:
                 index.setdefault(key, []).append(pos)
@@ -188,16 +191,13 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
     if not query:
         return None
     best: tuple[int, str, GazetteerEntry] | None = None
-
     exact = gaz.name_index.get(query)
     if exact is not None:
-        for pos in exact:
-            entry = gaz.entries[pos]
-            if best is None or entry.name < best[1]:
-                best = (0, entry.name, entry)
+        best = (0, "", gaz.entries[exact[0]])
     elif max_edit > 0:
-        # The bound shrinks to the best distance so far; names at exactly
-        # that distance are still scored, for the tie-break on name.
+        # Only each key's winner is scored: its other positions are no closer.
+        # The bound shrinks to the best distance so far; names at exactly that
+        # distance are still scored, for the tie-break on name.
         bound = max_edit
         for variant, positions in gaz.name_index.items():
             if abs(len(variant) - len(query)) > bound:
@@ -206,11 +206,9 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
             if dist > bound:
                 continue
             bound = dist
-            for pos in positions:
-                entry = gaz.entries[pos]
-                key = (dist, entry.name)
-                if best is None or key < (best[0], best[1]):
-                    best = (dist, entry.name, entry)
+            entry = gaz.entries[positions[0]]
+            if best is None or (dist, entry.name) < best[:2]:
+                best = (dist, entry.name, entry)
     if best is None:
         return None
     entry = best[2]

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geotri import predict
+from geotri import cli, predict
 from geotri.atomic import write_text
 from geotri.cli import ModelFileError, load_model, load_models_dir, run, save_model
 from geotri.mixture import GaussianComponent, GmmModel
@@ -464,6 +464,35 @@ def test_predict_rejects_bad_topk_before_scoring(models_dir, monkeypatch, capsys
     code = run(["predict", "--models", str(models_dir), "--bbox", bbox, "--points", "2000", "--topk", "0"])
     assert code == 1
     assert "k must lie in [1, 196]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--point", "40.09,116.12", "--points", "5"], "--points"),
+        (["--point", "40.09,116.12", "--topk", "2"], "--topk"),
+        (["--points", "5", "--topk", "2", "--surface-out", "SURFACE"], "--surface-out"),
+    ],
+)
+def test_predict_rejects_options_of_the_other_mode(models_dir, tmp_path, capsys, extra, flag):
+    argv = ["predict", "--models", str(models_dir), "--bbox", "40.0,116.0,40.18,116.235", "--grid-dim", "5"]
+    argv += [str(tmp_path / "s") if arg == "SURFACE" else arg for arg in extra]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{flag} is not used" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
+def test_predict_accuracy_defaults(models_dir, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "prediction_accuracy", lambda *args: calls.append(args[3:5]) or 0.5)
+    argv = ["predict", "--models", str(models_dir), "--bbox", "40.0,116.0,40.18,116.235", "--seed", "1"]
+    assert run(argv) == 0
+    summary = parse_summary(capsys)
+    assert calls == [(2000, 20)]
+    assert (summary["points"], summary["topk"]) == ("2000", "20")
 
 
 def test_predict_rejects_bad_bbox(models_dir, capsys):

@@ -4,7 +4,7 @@ import pathlib
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geotri import extract
@@ -23,7 +23,7 @@ from geotri.extract import (
     tokenize,
     write_triplets_tsv,
 )
-from geotri.gazetteer import GazetteerEntry, Poi, build_gazetteer
+from geotri.gazetteer import GazetteerEntry, Poi, build_gazetteer, geocode, normalize_name
 
 
 def test_split_on_terminators():
@@ -117,6 +117,78 @@ def test_tag_entities_resolves_alternate_names():
 def test_tag_entities_requires_exact_normalized_match():
     spans = tag_entities(tokenize("Bostn is lovely."), demo_gazetteer())
     assert spans == []
+
+
+def window_tagger(tokens, gaz):
+    # Reference tagger: every window without punctuation, longest first,
+    # resolved by an exact geocode of the window's text.
+    spans = []
+    punct = [token_class(t) == "PUNCT" for t in tokens]
+    i = 0
+    while i < len(tokens):
+        for length in range(min(gaz.max_words, len(tokens) - i), 0, -1):
+            if any(punct[i : i + length]):
+                continue
+            surface = " ".join(tokens[i : i + length])
+            poi = geocode(surface, gaz, max_edit=0)
+            if poi is not None:
+                spans.append(EntitySpan(i, i + length, surface, poi))
+                i += length
+                break
+        else:
+            i += 1
+    return spans
+
+
+# Words whose lowercase form or normalization is unusual: apostrophes split a
+# token into two words, "İ" lowercases to "i" plus a combining dot (not a
+# word character), and a final "Σ" lowercases by context.
+_WORDS = ["a", "B", "ab", "O'b", "b'a", "İ", "aİ", "İb", "ΑΣ", "Σa", "σς", "x_1", "é"]
+_TEXT = st.lists(st.sampled_from(_WORDS + [" ", "  ", ".", ",", "-", "'", "\u0301"]), max_size=14).map("".join)
+
+
+@example("ΑΣ Β aİ O'b")
+@example("İ Σ ΑΣ'Β a\u0301b")
+@given(_TEXT)
+def test_window_key_is_the_join_of_token_keys(text):
+    tokens = tokenize(text)
+    runs, run = [], []
+    for token in tokens + ["."]:
+        if token_class(token) == "PUNCT":
+            runs.append(run)
+            run = []
+        else:
+            run.append(token)
+    for run in runs:
+        for i in range(len(run)):
+            for j in range(i + 1, len(run) + 1):
+                window = run[i:j]
+                assert normalize_name(" ".join(window)) == " ".join(map(normalize_name, window))
+
+
+_NAME = st.lists(st.sampled_from(_WORDS + [" ", "-", ". ", ", ", "'"]), min_size=1, max_size=5).map("".join)
+
+
+@st.composite
+def tagging_cases(draw):
+    # Names collide after normalization ("a-b", "A b"), repeat with new
+    # coordinates (equal names), and carry punctuation; the text mixes
+    # names, loose words and punctuation.
+    names = draw(st.lists(_NAME, min_size=1, max_size=6))
+    names += draw(st.lists(st.sampled_from(names), max_size=3))
+    entries = [
+        GazetteerEntry(name, tuple(draw(st.lists(_NAME, max_size=2))), float(pos), 0.0)
+        for pos, name in enumerate(names)
+    ]
+    pieces = draw(st.lists(st.sampled_from(names) | st.sampled_from(_WORDS + [".", ",", "-"]), max_size=12))
+    return build_gazetteer(entries), tokenize(" ".join(pieces))
+
+
+@settings(max_examples=300)
+@given(tagging_cases())
+def test_tagging_matches_window_geocode_tagger(case):
+    gaz, tokens = case
+    assert tag_entities(tokens, gaz) == window_tagger(tokens, gaz)
 
 
 def test_entity_span_rejects_bad_bounds():
@@ -231,6 +303,21 @@ def test_match_relation_longest_connector_wins():
     tokens = tokenize("Brooklyn is north of Boston.")
     left, right = spans_for(tokens)
     assert match_relation(tokens, left, right, patterns) == "north of"
+
+
+def test_match_relation_ranks_each_label_by_its_longest_connector():
+    tokens = tokenize("Alpha north of Beta")
+    gaz = build_gazetteer([GazetteerEntry("Alpha", (), 1.0, 1.0), GazetteerEntry("Beta", (), 2.0, 2.0)])
+    left, right = tag_entities(tokens, gaz)
+    for a_connectors in ((("of",), ("north", "of")), (("north", "of"), ("of",))):
+        patterns = PatternSet((("ENTITY", "DIR", "IN", "ENTITY"),), {"a": a_connectors, "b": (("north", "of"),)})
+        assert match_relation(tokens, left, right, patterns) == "a"
+
+
+def test_pattern_set_rejects_connector_words_with_whitespace():
+    for connector in (("north of",), ("north", ""), (" of",)):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            PatternSet((("ENTITY", "IN", "ENTITY"),), {"of": (connector,)})
 
 
 def test_match_relation_label_tie_breaks_lexicographically():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geotri.extract import Triplet, read_triplets_tsv
@@ -150,6 +150,65 @@ def test_build_training_sets_groups_by_label():
     assert len(sets["near"].vectors) == 2
     assert len(sets["in"].vectors) == 1
     assert sum(len(s.vectors) for s in sets.values()) == len(triplets)
+
+
+def per_triplet_sets(triplets, origin):
+    # One scalar feature_vector call per triplet, the reference for the
+    # block computation in build_training_sets.
+    sets = {}
+    for triplet in triplets:
+        sets.setdefault(triplet.relation, []).append(feature_vector(triplet.subject, triplet.object, origin))
+    return sets
+
+
+_LAT = st.floats(-89.0, 89.0)
+_LON = st.floats(-179.0, 179.0)
+
+
+@st.composite
+def triplet_blocks(draw):
+    # A few places reused across triplets, so subject and object often
+    # coincide (distinct names, one coordinate); the origin may lie far away.
+    near = st.tuples(st.floats(39.9, 40.1), st.floats(115.9, 116.1))
+    coords = draw(st.lists(near | st.tuples(_LAT, _LON), min_size=1, max_size=4))
+    triplets = []
+    for _ in range(draw(st.integers(0, 12))):
+        u, v = draw(st.sampled_from(coords)), draw(st.sampled_from(coords))
+        label = draw(st.sampled_from(["near", "in", "north of"]))
+        triplets.append(Triplet(Poi("u", *u), label, Poi("v", *v)))
+    origin = draw(st.just(ORIGIN) | st.builds(ProjectionOrigin, _LAT, _LON))
+    return triplets, origin
+
+
+def outcome(build, triplets, origin):
+    try:
+        return build(triplets, origin)
+    except ValueError as exc:
+        return str(exc)
+
+
+_COINCIDENT = Triplet(Poi("twin", 41.0, 117.0), "at", Poi("ref", 41.0, 117.0))
+_LABELS = [Triplet(Poi("u", 40.0, 116.0), label, Poi("v", 40.05, 116.1)) for label in ("near", "in", "near")]
+
+
+@example(([], ORIGIN))
+@example(([_COINCIDENT], ORIGIN))
+@example((_LABELS + [_COINCIDENT], ProjectionOrigin(-60.0, -170.0)))
+@settings(max_examples=200)
+@given(triplet_blocks())
+def test_build_training_sets_matches_per_triplet_features_bitwise(block):
+    triplets, origin = block
+    sets = outcome(build_training_sets, triplets, origin)
+    expected = outcome(per_triplet_sets, triplets, origin)
+    # An orientation a hair below 0 degrees rounds to 360.0 and is rejected;
+    # both computations must then fail alike.
+    if isinstance(expected, str):
+        assert sets == expected
+        return
+    assert list(sets) == list(expected)
+    for label, vectors in expected.items():
+        got = [(v.distance.hex(), v.orientation.hex()) for v in sets[label].vectors]
+        assert got == [(v.distance.hex(), v.orientation.hex()) for v in vectors]
 
 
 def test_fixture_triplet_file_label_counts(fixtures_dir):

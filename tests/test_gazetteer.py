@@ -1,5 +1,7 @@
 """Gazetteer loading, name normalization, edit distance, and geocoding."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,27 @@ def test_normalize_lowercases_and_collapses_whitespace():
     assert normalize_name("  New   York ") == "new york"
     assert normalize_name("St. Peter's") == "st peter s"
     assert normalize_name("Rio-de-Janeiro") == "rio de janeiro"
+
+
+@example("İstanbul")
+@example("ΑΣ b_1")
+@given(st.text(max_size=12))
+def test_normalize_matches_the_two_pass_definition(name):
+    # Lowercase, punctuation runs to one space, whitespace runs to one space, strip.
+    expected = re.sub(r"\s+", " ", re.sub(r"[^\w\s]+", " ", name.lower())).strip()
+    assert normalize_name(name) == expected
+
+
+def test_name_index_lists_start_with_the_exact_winner():
+    entries = [
+        GazetteerEntry("Zeta", ("X",), 1.0, 1.0),
+        GazetteerEntry("Alpha", ("x.",), 2.0, 2.0),
+        GazetteerEntry("Alpha", ("-x",), 3.0, 3.0),
+    ]
+    assert build_gazetteer(entries).name_index["x"] == [1, 2, 0]
+    # A hand-built index is ordered the same way at construction.
+    assert Gazetteer(entries, {"x": [0, 1, 2]}).name_index["x"] == [1, 2, 0]
+    assert geocode("X", build_gazetteer(entries), max_edit=0) == Poi("Alpha", 2.0, 2.0)
 
 
 def test_poi_rejects_out_of_range_coordinates():
