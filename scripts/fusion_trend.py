@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from geotri.cli import _default_seed
+from geotri.cli import _seed
 from geotri.fuse import fuse
 from geotri.synth import consistent_scenario, train_city
 
@@ -23,11 +23,10 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--fusion", choices=["product", "sum"], default="product")
     parser.add_argument("--seed", type=int, default=None, help="default: GEOTRI_SEED, else 0")
     args = parser.parse_args()
-    if args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except ValueError as exc:
-            parser.exit(1, f"{exc}\n")
+    try:
+        args.seed = _seed(args.seed)
+    except ValueError as exc:
+        parser.exit(1, f"{exc}\n")
     return args
 
 

@@ -8,8 +8,8 @@ import argparse
 
 import numpy as np
 
-from geotri.cli import _default_seed
-from geotri.predict import RelationOracle, prediction_trial, qualitative_accuracy
+from geotri.cli import _seed
+from geotri.predict import prediction_trial, qualitative_accuracy
 from geotri.synth import CITY_BBOX, train_city
 
 
@@ -23,18 +23,16 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--topk", default="1,5,10,20")
     parser.add_argument("--seed", type=int, default=None, help="default: GEOTRI_SEED, else 0")
     args = parser.parse_args()
-    if args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except ValueError as exc:
-            parser.exit(1, f"{exc}\n")
+    try:
+        args.seed = _seed(args.seed)
+    except ValueError as exc:
+        parser.exit(1, f"{exc}\n")
     return args
 
 
 def main() -> None:
     args = parse_args()
     ks = [int(k) for k in args.topk.split(",")]
-    oracle = RelationOracle()
     accuracy = {name: {k: [] for k in ks} for name in ("baseline", "greedy")}
     qualitative = {"baseline": [], "greedy": []}
     for offset in range(args.seeds):
@@ -44,7 +42,7 @@ def main() -> None:
             trial = prediction_trial(models, CITY_BBOX, args.grid_dim, args.points, seed=1000 + seed)
             for k in ks:
                 accuracy[name][k].append(trial.accuracy(k))
-            qualitative[name].append(qualitative_accuracy(trial, oracle))
+            qualitative[name].append(qualitative_accuracy(trial))
     print(f"seeds={args.seeds} points={args.points} grid_dim={args.grid_dim}")
     header = "model     " + "".join(f"top-{k:<6}" for k in ks) + "qualitative"
     print(header)

@@ -23,7 +23,7 @@ from .mixture import (
     gmm_log_likelihood,
     greedy_train,
 )
-from .predict import Grid, RelationOracle, make_grid, prediction_accuracy, score_point
+from .predict import Grid, make_grid, prediction_accuracy, relation_holds, score_point
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "PatternSet",
     "Poi",
     "ProjectionOrigin",
-    "RelationOracle",
     "Scenario",
     "SpatialFeatureVector",
     "TrainingConfig",
@@ -53,5 +52,6 @@ __all__ = [
     "load_patterns",
     "make_grid",
     "prediction_accuracy",
+    "relation_holds",
     "score_point",
 ]

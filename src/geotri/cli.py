@@ -4,7 +4,8 @@ Every subcommand prints a single machine-readable ``key=value`` summary
 line on success, writes output files atomically (temp file in the target
 directory, then rename), and never mutates its inputs. Exit codes: 0 on
 success, 1 on validation or usage errors, 2 on I/O errors. The default
-seed comes from the GEOTRI_SEED environment variable (0 when unset).
+seed comes from the GEOTRI_SEED environment variable (0 when unset),
+read only by modes that draw random numbers; ``predict --point`` draws none.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no prefix matching: a removed --m must not act as --max-components
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # argparse would exit(2); we report usage as 1
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
@@ -124,7 +128,10 @@ def _summary(**pairs) -> None:
     print(" ".join(f"{key}={value}" for key, value in pairs.items()))
 
 
-def _default_seed() -> int:
+def _seed(given: int | None) -> int:
+    """``given`` (a ``--seed`` value) unless None, else GEOTRI_SEED, else 0."""
+    if given is not None:
+        return given
     text = os.environ.get("GEOTRI_SEED", "0")
     try:
         return int(text)
@@ -194,13 +201,9 @@ def _cmd_features(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    seed = _seed(args.seed)
     data = load_feature_array(args.features)
-    cfg = TrainingConfig(
-        max_components=args.max_components,
-        candidates_per_component=args.m,
-        seed=args.seed,
-    )
-    model = greedy_train(data, args.relation, cfg)
+    model = greedy_train(data, args.relation, TrainingConfig(max_components=args.max_components, seed=seed))
     save_model(model, args.out)
     _summary(
         command="train",
@@ -218,10 +221,13 @@ def _write_geojson(path: str, grid, region_likelihoods) -> None:
 
 def _cmd_predict(args) -> None:
     point_mode = args.point is not None
-    unused = {"--points": args.points, "--topk": args.topk} if point_mode else {"--surface-out": args.surface_out}
+    unused = {"--points": args.points, "--topk": args.topk, "--seed": args.seed}
+    if not point_mode:
+        unused = {"--surface-out": args.surface_out}
     for flag, value in unused.items():
         if value is not None:
             raise ValueError(f"{flag} is not used {'with' if point_mode else 'without'} --point")
+    seed = None if point_mode else _seed(args.seed)
     models = load_models_dir(args.models)
     bbox = _parse_bbox(args.bbox)
     if point_mode:
@@ -247,21 +253,22 @@ def _cmd_predict(args) -> None:
     else:
         points = 2000 if args.points is None else args.points
         topk = 20 if args.topk is None else args.topk
-        accuracy = prediction_accuracy(models, bbox, args.grid_dim, points, topk, args.seed)
+        accuracy = prediction_accuracy(models, bbox, args.grid_dim, points, topk, seed)
         _summary(
             command="predict",
             grid_dim=args.grid_dim,
             points=points,
             topk=topk,
-            seed=args.seed,
+            seed=seed,
             accuracy=repr(accuracy),
         )
 
 
 def _cmd_fuse(args) -> None:
+    seed = _seed(args.seed)
     models = load_models_dir(args.models)
     scenario = load_scenario(args.scenario)
-    estimate = fuse(scenario, models, fraction=args.fraction, seed=args.seed, fusion=args.fusion)
+    estimate = fuse(scenario, models, fraction=args.fraction, seed=seed, fusion=args.fusion)
     write_tsv(args.out + ".tsv", [(args.fraction, *estimate.center, estimate.error_km)])
     _write_geojson(args.out + ".geojson", estimate.grid, estimate.region_likelihoods)
     _summary(
@@ -299,7 +306,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--max-components", type=int, default=5)
-    p.add_argument("--m", type=int, default=10, help="candidates per component")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
@@ -309,7 +315,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-dim", type=int, default=15)
     p.add_argument("--points", type=int, default=None, help="without --point: sampled points (default 2000)")
     p.add_argument("--topk", type=int, default=None, help="without --point: regions counted as a hit (default 20)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="without --point: seed of the sampled points")
     p.add_argument("--point", default=None, help="lat,lon: score this point instead")
     p.add_argument("--surface-out", default=None, help="with --point: prefix for .csv/.geojson export")
 
@@ -345,8 +351,6 @@ def run(argv: list[str]) -> int:
         print(_PARSER.format_usage(), file=sys.stderr)
         return 1
     try:
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = _default_seed()
         _HANDLERS[args.command](args)
     except OSError as exc:
         print(f"geotri {args.command}: {exc}", file=sys.stderr)

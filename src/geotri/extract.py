@@ -147,7 +147,6 @@ class Triplet:
     subject: Poi
     relation: str
     object: Poi
-    source_sentence: str = ""
 
     def __post_init__(self) -> None:
         if self.subject.name == self.object.name:
@@ -283,8 +282,7 @@ def extract_triplets(corpus, gaz: Gazetteer, patterns: PatternSet) -> list[Tripl
     """
     triplets: list[Triplet] = []
     for text in corpus:
-        for sentence in split_sentences(text):
-            tokens = tokenize(sentence)
+        for tokens in map(tokenize, split_sentences(text)):
             spans = tag_entities(tokens, gaz)
             if len(spans) < 2:
                 continue
@@ -292,7 +290,7 @@ def extract_triplets(corpus, gaz: Gazetteer, patterns: PatternSet) -> list[Tripl
                 label = match_relation(tokens, left, right, patterns)
                 if label is None or left.poi.name == right.poi.name:
                     continue
-                triplets.append(Triplet(left.poi, label, right.poi, sentence))
+                triplets.append(Triplet(left.poi, label, right.poi))
     return triplets
 
 

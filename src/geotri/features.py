@@ -93,7 +93,7 @@ def feature_components(lat_u, lon_u, lat_v, lon_v, origin: ProjectionOrigin):
     """Distance and orientation of subject (u) relative to reference (v).
 
     Vectorized over numpy array inputs; orientation is 0 wherever the
-    projected points coincide.
+    projected points coincide or ``% 360.0`` rounds an angle a hair below 0 up to 360.
     """
     xu, yu = project(lat_u, lon_u, origin)
     xv, yv = project(lat_v, lon_v, origin)
@@ -101,7 +101,7 @@ def feature_components(lat_u, lon_u, lat_v, lon_v, origin: ProjectionOrigin):
     dy = yu - yv
     distance = np.hypot(dx, dy)
     orientation = np.degrees(np.arctan2(dy, dx)) % 360.0
-    orientation = np.where(distance == 0.0, 0.0, orientation)
+    orientation = np.where((distance == 0.0) | (orientation == 360.0), 0.0, orientation)
     return distance, orientation
 
 

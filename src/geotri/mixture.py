@@ -8,8 +8,8 @@ and a mixture scores log L(X) = sum_j log sum_i w_i g(x_j; mu_i, S_i),
 evaluated in log space with log-sum-exp throughout. Training is classic EM
 plus a greedy growth loop (Verbeek, Vlassis & Krose, Neural Computation
 2003): starting from the single-component fit, partition the data by maximum
-responsibility, propose candidate components from random pair midpoints
-inside each partition, tune the candidates with partial EM (existing
+responsibility, propose ``CANDIDATES_PER_COMPONENT`` candidates per partition
+from random pair midpoints inside it, tune them with partial EM (existing
 components frozen), insert the one that maximizes the mixed log-likelihood,
 refit with full EM, and keep going while the refit log-likelihood clears an
 acceptance margin and the component budget allows. The margin is what makes
@@ -37,6 +37,7 @@ import numpy as np
 
 __all__ = [
     "ACCEPT_TOL",
+    "CANDIDATES_PER_COMPONENT",
     "EM_MAX_ITER",
     "EM_TOL",
     "GaussianComponent",
@@ -56,6 +57,7 @@ VARIANCE_FLOOR = 1e-4
 EM_TOL = 1e-6
 EM_MAX_ITER = 200
 ACCEPT_TOL = 1e-2
+CANDIDATES_PER_COMPONENT = 10
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_HALF = math.log(0.5)
@@ -126,23 +128,17 @@ class GmmModel:
         """Log mixture density at each row of ``points`` (n, 2)."""
         return _logsumexp(_log_responsibilities(_as_points(points), *_arrays(self.components)))
 
-    def pdf(self, points) -> np.ndarray:
-        return np.exp(self.logpdf(points))
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
     """Knobs for the greedy growth loop."""
 
     max_components: int = 5
-    candidates_per_component: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_components < 1:
             raise ValueError("max_components must be >= 1")
-        if self.candidates_per_component < 1:
-            raise ValueError("candidates_per_component must be >= 1")
 
 
 def derive_seed(base_seed: int, relation: str) -> int:
@@ -322,7 +318,7 @@ def generate_candidates(
     """Propose insertion candidates from max-responsibility partitions.
 
     Each partition with at least two points yields
-    ``cfg.candidates_per_component`` candidates whose mean is the midpoint
+    ``CANDIDATES_PER_COMPONENT`` candidates whose mean is the midpoint
     of a random point pair and whose covariance is the partition sample
     covariance scaled by 1/2 (floored). Candidates carry the insertion
     weight 1/2.
@@ -338,7 +334,7 @@ def generate_candidates(
         if partition.shape[0] < 2:
             continue
         scaled = _floor_covariance(0.5 * np.cov(partition.T, ddof=0))
-        for _ in range(cfg.candidates_per_component):
+        for _ in range(CANDIDATES_PER_COMPONENT):
             i, j = rng.choice(partition.shape[0], size=2, replace=False)
             midpoint = (partition[i] + partition[j]) / 2.0
             candidates.append(GaussianComponent(0.5, midpoint, scaled))

@@ -33,20 +33,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import read_tsv
 from .features import ProjectionOrigin, feature_components
 
 __all__ = [
+    "AT_KM",
+    "CONTAINMENT_KM",
     "Grid",
+    "NEAR_KM",
     "PredictionSurface",
     "PredictionTrial",
-    "RelationOracle",
+    "SECTOR_HALF_WIDTH_DEG",
     "check_grid",
     "make_grid",
     "prediction_accuracy",
     "prediction_trial",
     "qualitative_accuracy",
     "region_ranking",
+    "relation_holds",
     "score_point",
     "surface_to_csv",
     "surface_to_geojson",
@@ -404,6 +407,11 @@ def prediction_accuracy(
     return prediction_trial(models, bbox, dim, n_points, seed).accuracy(k)
 
 
+# Thresholds of the geometric ground truth in ``relation_holds``.
+NEAR_KM = 6.5
+AT_KM = 2.5
+CONTAINMENT_KM = 2.5
+SECTOR_HALF_WIDTH_DEG = 60.0
 # Cardinal direction of each directional label, in degrees (north 90).
 _SECTOR_CENTERS = {
     "east of": 0.0,
@@ -417,67 +425,31 @@ _SECTOR_CENTERS = {
 }
 
 
-@dataclass(frozen=True)
-class RelationOracle:
-    """Geometric ground-truth predicates for label correctness.
+def relation_holds(label: str, distance_km: float, orientation_deg: float) -> bool:
+    """Whether ``label`` holds for a subject this far from its reference, seen at this orientation.
 
-    Proximity labels hold within a distance threshold; directional labels
-    hold when the subject's orientation seen from the reference falls in a
-    sector around the cardinal direction (north 90, south 270, east 0,
-    west 180 degrees).
+    A directional label holds within ``SECTOR_HALF_WIDTH_DEG`` of its
+    cardinal direction, edges included; an unknown label never holds.
     """
-
-    near_km: float = 6.5
-    at_km: float = 2.5
-    containment_km: float = 2.5
-    sector_half_width_deg: float = 60.0
-
-    def __post_init__(self) -> None:
-        if min(self.near_km, self.at_km, self.containment_km) <= 0.0:
-            raise ValueError("distance thresholds must be positive")
-        if not (0.0 < self.sector_half_width_deg <= 90.0):
-            raise ValueError("sector half-width must lie in (0, 90]")
-
-    @classmethod
-    def from_file(cls, path: str) -> RelationOracle:
-        """Read ``key<TAB>value`` overrides for the default thresholds."""
-        allowed = {"near_km", "at_km", "containment_km", "sector_half_width_deg"}
-
-        def parse(fields: list[str]) -> tuple[str, float]:
-            key = fields[0].strip()
-            if len(fields) != 2 or key not in allowed:
-                raise ValueError("expected '<threshold>\\t<value>'")
-            try:
-                value = float(fields[1])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be a finite number, got {fields[1]!r}")
-            cls(**{key: value})  # check the override while its line number is known
-            return key, value
-
-        return cls(**dict(read_tsv(path, parse)))
-
-    def is_correct(self, label: str, distance_km: float, orientation_deg: float) -> bool:
-        if label in ("near", "next to", "close to"):
-            return distance_km <= self.near_km
-        if label == "at":
-            return distance_km <= self.at_km
-        if label == "in":
-            return distance_km <= self.containment_km
-        if label in _SECTOR_CENTERS:
-            delta = abs((orientation_deg - _SECTOR_CENTERS[label] + 180.0) % 360.0 - 180.0)
-            return delta <= self.sector_half_width_deg
-        return False
+    if label in ("near", "next to", "close to"):
+        return distance_km <= NEAR_KM
+    if label == "at":
+        return distance_km <= AT_KM
+    if label == "in":
+        return distance_km <= CONTAINMENT_KM
+    if label in _SECTOR_CENTERS:
+        delta = abs((orientation_deg - _SECTOR_CENTERS[label] + 180.0) % 360.0 - 180.0)
+        return delta <= SECTOR_HALF_WIDTH_DEG
+    return False
 
 
-def qualitative_accuracy(trial: PredictionTrial, oracle: RelationOracle) -> float:
+def qualitative_accuracy(trial: PredictionTrial) -> float:
     """Fraction of a trial's label choices whose predicate holds for the point seen from the vertex."""
     if trial.choices.size == 0:
         raise ValueError("trial must hold at least one label choice")
     distance, orientation = _point_features(trial.points, trial.grid)
     labels = map(trial.labels.__getitem__, trial.choices.ravel().tolist())
-    correct = sum(map(oracle.is_correct, labels, distance.ravel().tolist(), orientation.ravel().tolist()))
+    correct = sum(map(relation_holds, labels, distance.ravel().tolist(), orientation.ravel().tolist()))
     return correct / trial.choices.size
 
 

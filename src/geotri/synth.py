@@ -3,7 +3,7 @@
 The benchmark places four relation labels over a roughly 30 x 30 km box.
 Each ground-truth mixture is deliberately multimodal in distance and/or
 orientation, so a single Gaussian is mis-specified for it, and its mass is
-placed consistently with the default RelationOracle predicates (proximity
+placed consistently with the ``predict.relation_holds`` predicates (proximity
 labels concentrate inside their distance thresholds, directional labels
 inside their sectors, orientations kept away from the 0/360 wrap).
 """
@@ -24,7 +24,7 @@ from .mixture import (
     derive_seed,
     greedy_train,
 )
-from .predict import RelationOracle
+from .predict import relation_holds
 
 __all__ = [
     "CITY_BBOX",
@@ -154,12 +154,11 @@ def consistent_scenario(
     """Generate truthful observations about a hidden point.
 
     Landmarks are drawn uniformly in the bbox and labeled by the first of
-    at, near, north of and west of whose default ``RelationOracle``
+    at, near, north of and west of whose ``relation_holds``
     predicate holds for the hidden point relative to them; landmarks
     farther than 16 km or fitting no label are rejected. This mirrors
     narrative observations, which assert relations that hold.
     """
-    oracle = RelationOracle()
     min_lat, min_lon, max_lat, max_lon = bbox
     unknown = Poi(
         "hidden",
@@ -180,7 +179,7 @@ def consistent_scenario(
         distance, orientation = float(distance), float(orientation)
         if distance > _LANDMARK_MAX_KM:
             continue
-        label = next((name for name in _SCENARIO_LABELS if oracle.is_correct(name, distance, orientation)), None)
+        label = next((name for name in _SCENARIO_LABELS if relation_holds(name, distance, orientation)), None)
         if label is None:
             continue
         observations.append((label, Poi(f"landmark-{len(observations)}", lat, lon)))

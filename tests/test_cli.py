@@ -472,6 +472,7 @@ def test_predict_rejects_bad_topk_before_scoring(models_dir, monkeypatch, capsys
         (["--point", "40.09,116.12", "--points", "5"], "--points"),
         (["--point", "40.09,116.12", "--topk", "2"], "--topk"),
         (["--points", "5", "--topk", "2", "--surface-out", "SURFACE"], "--surface-out"),
+        (["--point", "40.09,116.12", "--seed", "3"], "--seed"),
     ],
 )
 def test_predict_rejects_options_of_the_other_mode(models_dir, tmp_path, capsys, extra, flag):
@@ -655,6 +656,28 @@ def test_explicit_seed_ignores_invalid_environment(
     argv = seed_commands(fixtures_dir, feature_dir, models_dir, tmp_path / "out")[command]
     assert run(argv + ["--seed", "9"]) == 0
     assert parse_summary(capsys)["command"] == command
+
+
+def test_point_mode_ignores_seed_environment(models_dir, tmp_path, monkeypatch, capsys):
+    prefix = tmp_path / "surface"
+    argv = ["predict", "--models", str(models_dir), "--bbox", "40.0,116.0,40.18,116.235", "--grid-dim", "4",
+            "--point", "40.09,116.12", "--surface-out", str(prefix)]
+    monkeypatch.delenv("GEOTRI_SEED", raising=False)
+    assert run(argv) == 0
+    unset = capsys.readouterr().out, [sha256(path) for path in sorted(tmp_path.iterdir())]
+    monkeypatch.setenv("GEOTRI_SEED", "abc")
+    assert run(argv) == 0
+    assert (capsys.readouterr().out, [sha256(path) for path in sorted(tmp_path.iterdir())]) == unset
+    assert len(unset[1]) == 2
+
+
+def test_train_has_no_candidates_option(feature_dir, tmp_path, capsys):
+    out = tmp_path / "near.model"
+    code = run(["train", "--features", str(feature_dir / "near.tsv"), "--relation", "near", "--m", "10",
+                "--out", str(out)])
+    assert code == 1
+    assert "--m" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repeated_runs_in_one_process_share_no_parser_state(fixtures_dir, models_dir, tmp_path, monkeypatch, capsys):

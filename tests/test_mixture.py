@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from geotri.mixture import (
     ACCEPT_TOL,
+    CANDIDATES_PER_COMPONENT,
     EM_MAX_ITER,
     EM_TOL,
     VARIANCE_FLOOR,
@@ -205,8 +206,6 @@ def test_log_likelihood_rejects_empty_data():
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(max_components=0)
-    with pytest.raises(ValueError):
-        TrainingConfig(candidates_per_component=0)
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -267,9 +266,8 @@ def test_em_floors_covariance_on_degenerate_data():
 def test_generate_candidates_contract():
     x = pair_data(100, 1.0, seed=5)
     model = GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),))
-    cfg = TrainingConfig(candidates_per_component=10, seed=9)
-    candidates = generate_candidates(x, model, cfg)
-    assert len(candidates) == model.component_count * cfg.candidates_per_component
+    candidates = generate_candidates(x, model, TrainingConfig(seed=9))
+    assert len(candidates) == model.component_count * CANDIDATES_PER_COMPONENT
     for candidate in candidates:
         assert candidate.weight == 0.5
         assert np.linalg.eigvalsh(candidate.covariance).min() >= VARIANCE_FLOOR * (1.0 - 1e-9)

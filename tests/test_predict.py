@@ -14,12 +14,12 @@ from geotri.features import ProjectionOrigin, feature_components
 from geotri.mixture import GaussianComponent, GmmModel
 from geotri.predict import (
     PredictionTrial,
-    RelationOracle,
     make_grid,
     prediction_accuracy,
     prediction_trial,
     qualitative_accuracy,
     region_ranking,
+    relation_holds,
     score_point,
     surface_to_csv,
     surface_to_geojson,
@@ -531,68 +531,30 @@ def test_surface_geojson_spells_non_finite_likelihoods_as_json():
 
 
 def test_oracle_proximity_predicates():
-    oracle = RelationOracle()
-    assert oracle.is_correct("near", 0.5, 0.0)
-    assert oracle.is_correct("near", 6.5, 123.0)
-    assert not oracle.is_correct("near", 6.6, 123.0)
-    assert oracle.is_correct("at", 2.4, 0.0)
-    assert not oracle.is_correct("at", 2.6, 0.0)
-    assert oracle.is_correct("in", 1.0, 0.0)
-    assert oracle.is_correct("next to", 3.0, 0.0)
-    assert oracle.is_correct("close to", 3.0, 0.0)
+    assert relation_holds("near", 0.5, 0.0)
+    assert relation_holds("near", 6.5, 123.0)
+    assert not relation_holds("near", 6.6, 123.0)
+    assert relation_holds("at", 2.4, 0.0)
+    assert not relation_holds("at", 2.6, 0.0)
+    assert relation_holds("in", 1.0, 0.0)
+    assert not relation_holds("in", 2.6, 0.0)
+    assert relation_holds("next to", 3.0, 0.0)
+    assert relation_holds("close to", 3.0, 0.0)
 
 
 def test_oracle_directional_predicates():
-    oracle = RelationOracle(sector_half_width_deg=45.0)
-    assert oracle.is_correct("north of", 3.0, 90.0)
-    assert oracle.is_correct("north of", 3.0, 135.0)
-    assert not oracle.is_correct("north of", 3.0, 270.0)
-    assert oracle.is_correct("east of", 3.0, 350.0)
-    assert oracle.is_correct("west of", 3.0, 180.0)
-    assert oracle.is_correct("south of", 3.0, 280.0)
-    assert oracle.is_correct("northeast of", 3.0, 45.0)
-    assert oracle.is_correct("southwest of", 3.0, 225.0)
-    assert not oracle.is_correct("mystery of", 3.0, 90.0)
-
-
-def test_oracle_validation():
-    with pytest.raises(ValueError):
-        RelationOracle(near_km=0.0)
-    with pytest.raises(ValueError):
-        RelationOracle(sector_half_width_deg=99.0)
-
-
-def test_oracle_from_file_matches_defaults(fixtures_dir):
-    assert RelationOracle.from_file(str(fixtures_dir / "oracle_default.tsv")) == RelationOracle()
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
-def test_oracle_from_file_rejects_non_finite_values_with_line(tmp_path, value):
-    path = tmp_path / "oracle.tsv"
-    path.write_text(f"# thresholds\nat_km\t{value}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"oracle\.tsv:2: at_km must be a finite number"):
-        RelationOracle.from_file(str(path))
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("near_km\t-1", "distance thresholds must be positive"),
-        ("sector_half_width_deg\t120", "sector half-width must lie in"),
-    ],
-)
-def test_oracle_from_file_rejects_out_of_range_values_with_line(tmp_path, line, message):
-    path = tmp_path / "oracle.tsv"
-    path.write_text(f"at_km\t2.0\n{line}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"oracle\.tsv:2: {message}"):
-        RelationOracle.from_file(str(path))
-
-
-def test_oracle_from_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "oracle.tsv"
-    path.write_text("bogus_km\t1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        RelationOracle.from_file(str(path))
+    # Each sector spans 60 degrees either side of its center, edges included.
+    for label, center in predict._SECTOR_CENTERS.items():
+        for side in (-1.0, 1.0):
+            assert relation_holds(label, 3.0, (center + side * 60.0) % 360.0), (label, side)
+            assert not relation_holds(label, 3.0, (center + side * 60.1) % 360.0), (label, side)
+        assert relation_holds(label, 3.0, center)
+        assert not relation_holds(label, 3.0, (center + 180.0) % 360.0)
+    # The loop crosses the 0/360 seam for east, northeast and southeast, e.g.:
+    assert relation_holds("east of", 3.0, 300.0)
+    assert not relation_holds("east of", 3.0, 299.9)
+    assert relation_holds("east of", 3.0, 359.9)
+    assert not relation_holds("mystery of", 3.0, 90.0)
 
 
 def test_qualitative_accuracy_hand_trace():
@@ -606,27 +568,26 @@ def test_qualitative_accuracy_hand_trace():
     # Vertex 2: "south of" holds (due south, 270 degrees).
     # Vertex 3: "southwest of" holds (atan2(-2.224, -2.555) = 221.0 degrees, 4 from 225).
     # Two of four hold.
-    assert qualitative_accuracy(trial, RelationOracle()) == 0.5
+    assert qualitative_accuracy(trial) == 0.5
 
 
 def test_qualitative_accuracy_matches_per_entry_loop():
     trial = prediction_trial(synthetic_city_models(), BBOX, 7, 20, seed=5)
     grid = trial.grid
-    oracle = RelationOracle(sector_half_width_deg=30.0)
     correct = 0
     for (plat, plon), choice in zip(trial.points, trial.choices):
         for (vlat, vlon), c in zip(grid.vertices, choice):
             distance, orientation = feature_components(plat, plon, vlat, vlon, grid.origin)
-            correct += oracle.is_correct(trial.labels[c], float(distance), float(orientation))
+            correct += relation_holds(trial.labels[c], float(distance), float(orientation))
     expected = correct / trial.choices.size
-    assert qualitative_accuracy(trial, oracle) == expected
+    assert qualitative_accuracy(trial) == expected
 
 
 def test_qualitative_accuracy_rejects_empty_log():
     grid = make_grid(BBOX, 2)
     trial = PredictionTrial(grid, np.empty((0, 2)), [], ("at",), np.empty((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
-        qualitative_accuracy(trial, RelationOracle())
+        qualitative_accuracy(trial)
 
 
 @settings(max_examples=30, deadline=None)

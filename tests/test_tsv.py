@@ -13,7 +13,6 @@ from geotri.extract import Triplet, load_patterns, read_triplets_tsv, write_trip
 from geotri.features import SpatialFeatureVector, TrainingSet, load_feature_array, write_training_set
 from geotri.fuse import Scenario, load_scenario, save_scenario
 from geotri.gazetteer import Poi, load_gazetteer
-from geotri.predict import RelationOracle
 
 SCENARIO_HEAD = "bbox\t40.0\t116.0\t40.2\t116.2\ndim\t5\nunknown\tx\t40.1\t116.1\n"
 
@@ -28,7 +27,6 @@ LOADERS = {
         "",
     ),
     "features": (load_feature_array, "1.5\tabc", "1.5\t90.0", ""),
-    "oracle": (RelationOracle.from_file, "at_km\tabc", "near_km\t6.5", ""),
     "scenario": (load_scenario, "near\tlm\tabc\t116.1", "near\tlm\t40.1\t116.1", SCENARIO_HEAD),
 }
 
