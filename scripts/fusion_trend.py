@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from geotri.cli import _seed
-from geotri.fuse import fuse
+from geotri.fuse import FUSION_MODES, fuse
 from geotri.synth import consistent_scenario, train_city
 
 
@@ -20,7 +20,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--observations", type=int, default=40)
     parser.add_argument("--scenarios", type=int, default=20)
     parser.add_argument("--fractions", default="0.1,0.5,1.0")
-    parser.add_argument("--fusion", choices=["product", "sum"], default="product")
+    parser.add_argument("--fusion", choices=FUSION_MODES, default=FUSION_MODES[0])
     parser.add_argument("--seed", type=int, default=None, help="default: GEOTRI_SEED, else 0")
     args = parser.parse_args()
     try:

@@ -9,6 +9,7 @@ import argparse
 import numpy as np
 
 from geotri.cli import _seed
+from geotri.mixture import TrainingConfig
 from geotri.predict import prediction_trial, qualitative_accuracy
 from geotri.synth import CITY_BBOX, train_city
 
@@ -19,7 +20,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--points", type=int, default=200)
     parser.add_argument("--grid-dim", type=int, default=15)
-    parser.add_argument("--max-components", type=int, default=5)
+    parser.add_argument("--max-components", type=int, default=TrainingConfig.max_components)
     parser.add_argument("--topk", default="1,5,10,20")
     parser.add_argument("--seed", type=int, default=None, help="default: GEOTRI_SEED, else 0")
     args = parser.parse_args()

@@ -27,7 +27,7 @@ from .features import (
     origin_for_points,
     write_training_set,
 )
-from .fuse import fuse, load_scenario
+from .fuse import FUSION_MODES, fuse, load_scenario
 from .gazetteer import geocode, load_gazetteer
 from .mixture import (
     GaussianComponent,
@@ -85,11 +85,7 @@ def load_model(path: str | Path) -> GmmModel:
         raise ModelFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:
         components = tuple(
-            GaussianComponent(
-                weight=float(c["weight"]),
-                mean=np.array(c["mean"], dtype=float),
-                covariance=np.array(c["covariance"], dtype=float).reshape(2, 2),
-            )
+            GaussianComponent(float(c["weight"]), c["mean"], c["covariance"])
             for c in payload["components"]
         )
         model = GmmModel(str(payload["relation"]), components)
@@ -108,6 +104,8 @@ def load_models_dir(directory: str | Path) -> dict[str, GmmModel]:
 
     Two files with the same relation label are an error naming both files.
     """
+    if not Path(directory).is_dir():
+        raise NotADirectoryError(f"not a directory: {directory}")
     models: dict[str, GmmModel] = {}
     sources: dict[str, Path] = {}
     paths = sorted(Path(directory).glob("*.model"))
@@ -305,7 +303,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="fit a mixture for one relation")
     p.add_argument("--features", required=True)
     p.add_argument("--relation", required=True)
-    p.add_argument("--max-components", type=int, default=5)
+    p.add_argument("--max-components", type=int, default=TrainingConfig.max_components)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
@@ -323,7 +321,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--models", required=True)
     p.add_argument("--fraction", type=float, default=1.0)
-    p.add_argument("--fusion", choices=("product", "sum"), default="product")
+    p.add_argument("--fusion", choices=FUSION_MODES, default=FUSION_MODES[0])
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     return parser

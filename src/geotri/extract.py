@@ -132,7 +132,6 @@ class EntitySpan:
 
     token_start: int
     token_end: int
-    surface: str
     poi: Poi
 
     def __post_init__(self) -> None:
@@ -237,7 +236,7 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
             if positions is not None:
                 entry = gaz.entries[positions[0]]
                 poi = Poi(entry.name, entry.lat, entry.lon)
-                spans.append(EntitySpan(i, end, " ".join(tokens[i:end]), poi))
+                spans.append(EntitySpan(i, end, poi))
                 i = end
                 break
         else:

@@ -26,6 +26,7 @@ from .predict import Grid, check_grid, make_grid
 
 __all__ = [
     "Estimate",
+    "FUSION_MODES",
     "MissingModelError",
     "Scenario",
     "fuse",
@@ -176,23 +177,26 @@ def load_scenario(path: str) -> Scenario:
 
     Lines are tab-separated: ``bbox<TAB>min_lat<TAB>min_lon<TAB>max_lat<TAB>
     max_lon``, ``dim<TAB>n``, ``unknown<TAB>name<TAB>lat<TAB>lon``, then one
-    ``label<TAB>landmark_name<TAB>lat<TAB>lon`` line per observation.
+    ``label<TAB>landmark_name<TAB>lat<TAB>lon`` line per observation. Each
+    header line appears exactly once.
     """
     header: dict[str, object] = {}
 
     def parse(fields: list[str]) -> tuple[str, Poi] | None:
         head, rest = fields[0], fields[1:]
         if head == "bbox" and len(rest) == 4:
-            header["bbox"] = tuple(float(f) for f in rest)
+            value = tuple(float(f) for f in rest)
         elif head == "dim" and len(rest) == 1:
-            header["dim"] = int(rest[0])
+            value = int(rest[0])
         elif len(rest) == 3:
-            poi = Poi(rest[0], float(rest[1]), float(rest[2]))
+            value = Poi(rest[0], float(rest[1]), float(rest[2]))
             if head != "unknown":
-                return head, poi
-            header["unknown"] = poi
+                return head, value
         else:
             raise ValueError("unrecognized line")
+        if head in header:
+            raise ValueError(f"repeated {head} line")
+        header[head] = value
         return None
 
     observations = [row for row in read_tsv(path, parse) if row is not None]

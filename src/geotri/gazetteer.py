@@ -89,9 +89,6 @@ class Gazetteer:
         words = max((key.count(" ") + 1 for key in self.name_index), default=0)
         object.__setattr__(self, "max_words", words)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def normalize_name(name: str) -> str:
     """Lowercase, replace punctuation with spaces, collapse whitespace."""

@@ -111,9 +111,6 @@ class GmmModel:
     def component_count(self) -> int:
         return len(self.components)
 
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
     def validate(self) -> None:
         """Check weight normalization and covariance floors."""
         total = math.fsum(c.weight for c in self.components)
@@ -312,9 +309,7 @@ def em_fit(data, model: GmmModel, history: list[float] | None = None) -> GmmMode
     return _model_from_arrays(model.relation, weights, means, covs)
 
 
-def generate_candidates(
-    data, model: GmmModel, cfg: TrainingConfig, rng: np.random.Generator | None = None
-) -> list[GaussianComponent]:
+def generate_candidates(data, model: GmmModel, rng: np.random.Generator) -> list[GaussianComponent]:
     """Propose insertion candidates from max-responsibility partitions.
 
     Each partition with at least two points yields
@@ -324,8 +319,6 @@ def generate_candidates(
     weight 1/2.
     """
     x = _training_points(data)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     weights, means, covs = _arrays(model.components)
     assignment = np.argmax(_log_responsibilities(x, weights, means, covs), axis=0)
     candidates: list[GaussianComponent] = []
@@ -426,7 +419,7 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
     current_ll = gmm_log_likelihood(x, current)
 
     while current.component_count < cfg.max_components and x.shape[0] > current.component_count:
-        candidates = generate_candidates(x, current, cfg, rng=rng)
+        candidates = generate_candidates(x, current, rng)
         if not candidates:
             break
         _, best, _ = _refine_candidates(x, current.logpdf(x), candidates)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ProjectionOrigin, feature_components
+from .features import ProjectionOrigin, feature_components, origin_for_points
 
 __all__ = [
     "AT_KM",
@@ -53,7 +53,6 @@ __all__ = [
     "score_point",
     "surface_to_csv",
     "surface_to_geojson",
-    "topk_hit",
 ]
 
 
@@ -93,7 +92,7 @@ class Grid:
 
     def region_centers(self) -> np.ndarray:
         """(region_count, 2) array of cell-center (lat, lon) pairs."""
-        return self.vertices[self.regions].mean(axis=1)
+        return self.region_average(self.vertices.T).T
 
     def region_average(self, vertex_values: np.ndarray) -> np.ndarray:
         """Per region, the mean of its four corner values (summed in corner order) along the last axis."""
@@ -123,7 +122,7 @@ def make_grid(bbox: tuple[float, float, float, float], dim: int) -> Grid:
     cells = np.arange(dim - 1)
     base = (cells[:, None] * dim + cells[None, :]).ravel()
     regions = np.column_stack([base, base + 1, base + dim, base + dim + 1])
-    origin = ProjectionOrigin((min_lat + max_lat) / 2.0, (min_lon + max_lon) / 2.0)
+    origin = origin_for_points(((min_lat, min_lon), (max_lat, max_lon)))
     return Grid(tuple(bbox), dim, vertices, regions, origin)
 
 
@@ -143,13 +142,6 @@ class PredictionSurface:
     region_likelihoods: np.ndarray
     chosen_labels: tuple[str, ...]
     underflow_vertices: tuple[int, ...] = ()
-
-
-def _latlon(point) -> tuple[float, float]:
-    if hasattr(point, "lat"):
-        return float(point.lat), float(point.lon)
-    lat, lon = point
-    return float(lat), float(lon)
 
 
 # Point x vertex pairs per model-selection block of a trial, so its feature and
@@ -295,7 +287,7 @@ def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tupl
 
 def score_point(point, grid: Grid, models) -> PredictionSurface:
     """Score every grid vertex and region as the location of ``point``; it may lie outside the grid's bbox."""
-    lat, lon = _latlon(point)
+    lat, lon = map(float, point)
     if not (math.isfinite(lat) and math.isfinite(lon)):
         raise ValueError(f"point ({lat}, {lon}) is not finite")
     tables = _scoring_tables(grid, models)
@@ -335,14 +327,6 @@ def _true_region_ranks(grid: Grid, points: np.ndarray, region_likelihoods: np.nd
 def _check_k(k: int, region_count: int) -> None:
     if not (1 <= k <= region_count):
         raise ValueError(f"k must lie in [1, {region_count}]")
-
-
-def topk_hit(surface: PredictionSurface, point, grid: Grid, k: int) -> bool:
-    """True when the region containing the point ranks in the top k."""
-    _check_k(k, grid.region_count)
-    lat, lon = _latlon(point)
-    target = grid.region_containing(lat, lon)
-    return target in region_ranking(surface.region_likelihoods)[:k]
 
 
 @dataclass

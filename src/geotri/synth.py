@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .features import ProjectionOrigin, feature_components
+from .features import feature_components
 from .fuse import Scenario
 from .gazetteer import Poi
 from .mixture import (
@@ -24,12 +24,11 @@ from .mixture import (
     derive_seed,
     greedy_train,
 )
-from .predict import relation_holds
+from .predict import make_grid, relation_holds
 
 __all__ = [
     "CITY_BBOX",
     "UniformDensityModel",
-    "baseline_fit",
     "consistent_scenario",
     "sample_mixture",
     "sample_training_data",
@@ -106,7 +105,7 @@ def synthetic_city_models() -> dict[str, GmmModel]:
 
 def sample_mixture(model: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points from a mixture (component choice, then its Gaussian)."""
-    weights = model.weights()
+    weights = np.array([c.weight for c in model.components])
     picks = rng.choice(model.component_count, size=n, p=weights / weights.sum())
     out = np.empty((n, 2))
     for k, component in enumerate(model.components):
@@ -126,20 +125,16 @@ def sample_training_data(n_per_label: int, seed: int) -> dict[str, np.ndarray]:
     return data
 
 
-def baseline_fit(data, relation: str, cfg: TrainingConfig) -> GmmModel:
-    """Single-component EM fit: the greedy trainer's start model, never grown."""
-    return greedy_train(data, relation, replace(cfg, max_components=1))
-
-
 def train_city(
-    n_per_label: int, seed: int, max_components: int = 5
+    n_per_label: int, seed: int, max_components: int = TrainingConfig.max_components
 ) -> tuple[dict[str, GmmModel], dict[str, GmmModel]]:
     """Train (baseline, greedy) model maps on one sampled city."""
     baseline: dict[str, GmmModel] = {}
     greedy: dict[str, GmmModel] = {}
     for label, data in sample_training_data(n_per_label, seed).items():
         cfg = TrainingConfig(max_components=max_components, seed=derive_seed(seed, label))
-        baseline[label] = baseline_fit(data, label, cfg)
+        # The single-component EM fit: the greedy trainer's start model, never grown.
+        baseline[label] = greedy_train(data, label, replace(cfg, max_components=1))
         greedy[label] = greedy_train(data, label, cfg)
     return baseline, greedy
 
@@ -159,13 +154,13 @@ def consistent_scenario(
     farther than 16 km or fitting no label are rejected. This mirrors
     narrative observations, which assert relations that hold.
     """
+    origin = make_grid(bbox, dim).origin
     min_lat, min_lon, max_lat, max_lon = bbox
     unknown = Poi(
         "hidden",
         min_lat + (max_lat - min_lat) * unknown_at[0],
         min_lon + (max_lon - min_lon) * unknown_at[1],
     )
-    origin = ProjectionOrigin((min_lat + max_lat) / 2.0, (min_lon + max_lon) / 2.0)
     rng = np.random.default_rng(seed)
     observations: list[tuple[str, Poi]] = []
     attempts = 0

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -395,9 +399,30 @@ def test_load_models_dir_rejects_duplicate_labels(tmp_path):
         load_models_dir(tmp_path)
 
 
-def test_load_models_dir_requires_files(tmp_path):
+def test_load_models_dir_requires_files(tmp_path, capsys):
     with pytest.raises(ModelFileError):
         load_models_dir(tmp_path)
+    # An existing directory without models is a value error, not an I/O error.
+    bbox = "40.0,116.0,40.18,116.235"
+    assert run(["predict", "--models", str(tmp_path), "--bbox", bbox, "--point", "40.09,116.12"]) == 1
+    assert "no *.model files" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_models_path_that_is_not_a_directory_is_io_error(fixtures_dir, tmp_path, capsys, kind):
+    path = tmp_path / "models"
+    if kind == "file":
+        path.write_text("", encoding="utf-8")
+    with pytest.raises(OSError, match="not a directory"):
+        load_models_dir(path)
+    bbox = "40.0,116.0,40.18,116.235"
+    predict = ["predict", "--models", str(path), "--bbox", bbox, "--point", "40.09,116.12"]
+    scenario = str(fixtures_dir / "scenario_demo.tsv")
+    fuse = ["fuse", "--scenario", scenario, "--models", str(path), "--out", str(tmp_path / "estimate")]
+    for argv in (predict, fuse):
+        assert run(argv) == 2
+        assert f"not a directory: {path}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("estimate*"))
 
 
 def test_predict_point_surface_export(models_dir, tmp_path, capsys):
@@ -731,3 +756,25 @@ def test_extract_has_no_span_option(fixtures_dir, tmp_path, capsys):
     assert code == 1
     assert "--max-span" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, code, stream, text",
+    [
+        (["geocode", "--gazetteer", "{fixtures}/gazetteer.tsv", "--name", "Bostom"], 0, "stdout",
+         "command=geocode query=Bostom match=Boston lat=42.3601"),
+        (["geocode", "--gazetteer", "{fixtures}/missing.tsv", "--name", "Boston"], 2, "stderr", "missing.tsv"),
+        ([], 1, "stderr", "usage: geotri"),
+    ],
+    ids=["geocode", "missing-gazetteer", "no-subcommand"],
+)
+def test_module_entry_point_exit_codes(fixtures_dir, args, code, stream, text):
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [arg.format(fixtures=fixtures_dir) for arg in args]
+    result = subprocess.run(
+        [sys.executable, "-m", "geotri", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == code, result.stderr
+    assert text in getattr(result, stream)

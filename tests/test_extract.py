@@ -132,7 +132,7 @@ def window_tagger(tokens, gaz):
             surface = " ".join(tokens[i : i + length])
             poi = geocode(surface, gaz, max_edit=0)
             if poi is not None:
-                spans.append(EntitySpan(i, i + length, surface, poi))
+                spans.append(EntitySpan(i, i + length, poi))
                 i += length
                 break
         else:
@@ -194,7 +194,7 @@ def test_tagging_matches_window_geocode_tagger(case):
 def test_entity_span_rejects_bad_bounds():
     poi = Poi("Boston", 42.36, -71.06)
     with pytest.raises(ValueError):
-        EntitySpan(3, 3, "Boston", poi)
+        EntitySpan(3, 3, poi)
 
 
 def demo_patterns():
@@ -276,7 +276,8 @@ def test_six_word_name_is_tagged_and_extracted():
         [GazetteerEntry(long_name, (), 51.75, -1.25), GazetteerEntry("Boston", (), 42.36, -71.06)]
     )
     tokens = tokenize(f"The {long_name} is near Boston.")
-    assert [(s.token_start, s.token_end, s.surface) for s in tag_entities(tokens, gaz)] == [
+    spans = tag_entities(tokens, gaz)
+    assert [(s.token_start, s.token_end, " ".join(tokens[s.token_start : s.token_end])) for s in spans] == [
         (1, 7, long_name),
         (9, 10, "Boston"),
     ]
@@ -289,7 +290,8 @@ def test_tagging_span_is_the_longest_indexed_name():
     # "O'Hare" normalizes to two words, so a one-token span can match a two-word name.
     gaz = build_gazetteer([GazetteerEntry("O'Hare", ("Chicago O'Hare Airport",), 41.98, -87.9)])
     assert gaz.max_words == 4
-    assert [s.surface for s in tag_entities(tokenize("Flights from O'Hare and Chicago O'Hare Airport."), gaz)] == [
+    tokens = tokenize("Flights from O'Hare and Chicago O'Hare Airport.")
+    assert [" ".join(tokens[s.token_start : s.token_end]) for s in tag_entities(tokens, gaz)] == [
         "O'Hare",
         "Chicago O'Hare Airport",
     ]

@@ -268,6 +268,9 @@ def test_fuse_uses_expected_subsample_size():
 
 def test_scenario_file_round_trip(tmp_path):
     scenario = demo_scenario()
+    # Observation rows have four fields, so header names are valid labels.
+    observations = (("bbox", Poi("a", 40.1, 116.1)), ("dim", Poi("b", 40.05, 116.2)))
+    scenario = Scenario(scenario.unknown, observations + scenario.observations, scenario.bbox, scenario.dim)
     path = tmp_path / "scenario.tsv"
     save_scenario(scenario, str(path))
     loaded = load_scenario(str(path))
@@ -307,6 +310,20 @@ def test_load_scenario_reports_line_numbers(tmp_path):
     path = tmp_path / "scenario.tsv"
     path.write_text("bbox\t40.0\t116.0\t40.18\t116.235\ndim\tfifteen\n", encoding="utf-8")
     with pytest.raises(ValueError, match="scenario.tsv:2"):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["bbox\t40.01\t116.01\t40.17\t116.2", "dim\t9", "unknown\tdecoy\t40.05\t116.1"],
+    ids=["bbox", "dim", "unknown"],
+)
+def test_load_scenario_rejects_repeated_header_row(tmp_path, row):
+    path = tmp_path / "scenario.tsv"
+    save_scenario(demo_scenario(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:5] + [row] + lines[5:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"scenario.tsv:6: repeated {row.split()[0]} line"):
         load_scenario(str(path))
 
 

@@ -266,7 +266,7 @@ def test_em_floors_covariance_on_degenerate_data():
 def test_generate_candidates_contract():
     x = pair_data(100, 1.0, seed=5)
     model = GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),))
-    candidates = generate_candidates(x, model, TrainingConfig(seed=9))
+    candidates = generate_candidates(x, model, np.random.default_rng(9))
     assert len(candidates) == model.component_count * CANDIDATES_PER_COMPONENT
     for candidate in candidates:
         assert candidate.weight == 0.5
@@ -279,9 +279,8 @@ def test_generate_candidates_contract():
 def test_generate_candidates_deterministic_per_seed():
     x = pair_data(50, 1.0, seed=2)
     model = GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),))
-    cfg = TrainingConfig(seed=4)
-    first = generate_candidates(x, model, cfg)
-    second = generate_candidates(x, model, cfg)
+    first = generate_candidates(x, model, np.random.default_rng(4))
+    second = generate_candidates(x, model, np.random.default_rng(4))
     assert all(
         np.array_equal(a.mean, b.mean) and np.array_equal(a.covariance, b.covariance)
         for a, b in zip(first, second)
@@ -494,7 +493,7 @@ def test_every_round_selects_the_per_candidate_winner(label):
     current_ll = gmm_log_likelihood(x, current)
     rounds = 0
     while current.component_count < cfg.max_components:
-        candidates = generate_candidates(x, current, cfg, rng=rng)
+        candidates = generate_candidates(x, current, rng)
         base = current.logpdf(x)
         index, refined, mixed = _refine_candidates(x, base, candidates)
         ref_index, ref_refined, ref_mixed = refine_per_candidate(x, base, candidates)
@@ -519,9 +518,8 @@ def test_every_round_selects_the_per_candidate_winner(label):
 def test_refinement_tie_goes_to_the_first_candidate():
     x = pair_data(100, 1.0, seed=5)
     model = GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),))
-    cfg = TrainingConfig(seed=2)
     base = model.logpdf(x)
-    a, b = generate_candidates(x, model, cfg)[:2]
+    a, b = generate_candidates(x, model, np.random.default_rng(2))[:2]
     alone = {id(c): _refine_candidates(x, base, [c])[1:] for c in (a, b)}
     assert alone[id(a)][1] != alone[id(b)][1]
     for order in ([a, b, b, a], [b, a, a, b], [a, a], [b, a, b, a, b]):
@@ -596,7 +594,7 @@ def test_training_rejects_non_finite_rows_by_index(bad):
     calls = (
         lambda: greedy_train(x, "r", cfg),
         lambda: em_fit(x, model),
-        lambda: generate_candidates(x, model, cfg),
+        lambda: generate_candidates(x, model, np.random.default_rng(0)),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -6,8 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from geotri import predict
 from geotri.features import ProjectionOrigin, feature_components
@@ -23,7 +21,6 @@ from geotri.predict import (
     score_point,
     surface_to_csv,
     surface_to_geojson,
-    topk_hit,
 )
 from geotri.synth import CITY_BBOX, UniformDensityModel, synthetic_city_models
 
@@ -359,23 +356,6 @@ def test_region_ranking_orders_and_breaks_ties_by_index():
     assert region_ranking(values) == sorted(range(200), key=lambda r: (-values[r], r))
 
 
-def test_topk_hit_monotone_in_k():
-    grid = make_grid(BBOX, 9)
-    surface = score_point((40.07, 116.09), grid, demo_models())
-    hits = [topk_hit(surface, (40.07, 116.09), grid, k) for k in range(1, grid.region_count + 1)]
-    assert all(not (a and not b) for a, b in zip(hits, hits[1:]))
-    assert hits[-1]
-
-
-def test_topk_hit_validates_k():
-    grid = make_grid(BBOX, 5)
-    surface = score_point((40.07, 116.09), grid, demo_models())
-    with pytest.raises(ValueError):
-        topk_hit(surface, (40.07, 116.09), grid, 0)
-    with pytest.raises(ValueError):
-        topk_hit(surface, (40.07, 116.09), grid, grid.region_count + 1)
-
-
 def test_prediction_trial_reproducible_and_bounded():
     models = demo_models()
     first = prediction_trial(models, BBOX, 7, 25, seed=42)
@@ -588,16 +568,3 @@ def test_qualitative_accuracy_rejects_empty_log():
     trial = PredictionTrial(grid, np.empty((0, 2)), [], ("at",), np.empty((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         qualitative_accuracy(trial)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.floats(min_value=40.0, max_value=40.18),
-    st.floats(min_value=116.0, max_value=116.235),
-    st.integers(min_value=1, max_value=195),
-)
-def test_topk_subset_property(lat, lon, k):
-    grid = make_grid(BBOX, 15)
-    surface = score_point((lat, lon), grid, demo_models())
-    if topk_hit(surface, (lat, lon), grid, k):
-        assert topk_hit(surface, (lat, lon), grid, k + 1)
