@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geotri.extract import extract_triplets
 from geotri.gazetteer import (
     EmptyGazetteerError,
     Gazetteer,
@@ -77,6 +78,13 @@ def test_levenshtein_matches_matrix_oracle(a, b, limit):
     expected = edit_matrix(a, b)
     assert levenshtein(a, b) == expected
     assert levenshtein(a, b, limit) == (expected if expected <= limit else limit + 1)
+
+
+@pytest.mark.parametrize("limit", [-1, 1.5])
+def test_levenshtein_rejects_a_limit_that_is_not_a_count(limit):
+    # A limit of -1 used to return 0 for two different strings.
+    with pytest.raises(ValueError, match="limit"):
+        levenshtein("a", "b", limit=limit)
 
 
 @given(st.text(max_size=12), st.text(max_size=12))
@@ -186,6 +194,36 @@ def test_geocode_rejects_negative_max_edit():
         geocode("Boston", small_gazetteer(), max_edit=-1)
 
 
+@pytest.mark.parametrize("name", ["Bostn", "Boston"])
+def test_geocode_rejects_max_edit_that_is_not_an_integer(name):
+    # A float used to fail inside range() on a miss and pass on an exact hit.
+    with pytest.raises(ValueError, match="max_edit"):
+        geocode(name, small_gazetteer(), max_edit=2.0)
+
+
+def test_geocode_tie_on_distance_and_name_goes_to_the_first_key():
+    # "a a" is two edits from both keys; "aab" has the smaller lower bound and
+    # is scored first, but "a" comes first in the name index.
+    gaz = build_gazetteer(
+        [
+            GazetteerEntry("A", (), 0.0, 0.0),
+            GazetteerEntry("A", ("AAb",), 1.0, 0.0),
+        ]
+    )
+    assert list(gaz.name_index) == ["a", "aab"]
+    assert geocode("A.A", gaz, max_edit=2) == Poi("A", 0.0, 0.0)
+
+
+def test_fuzzy_index_is_built_by_the_first_fuzzy_query(fixtures_dir, patterns, corpus):
+    gaz = load_gazetteer(str(fixtures_dir / "gazetteer.tsv"))
+    assert extract_triplets(corpus, gaz, patterns)
+    assert geocode("Boston", gaz, max_edit=2) is not None
+    assert geocode("Bostn", gaz, max_edit=0) is None
+    assert gaz._fuzzy_index is None
+    assert geocode("Bostn", gaz, max_edit=1) == geocode("Boston", gaz, max_edit=0)
+    assert gaz._fuzzy_index is not None
+
+
 def test_geocode_query_without_letters_matches_nothing():
     gaz = build_gazetteer([GazetteerEntry("Ab", (), 1.0, 1.0)])
     # "!!!" normalizes to the empty string, which is two edits from "ab".
@@ -210,9 +248,12 @@ def brute_force_geocode(name: str, gaz: Gazetteer, max_edit: int) -> Poi | None:
 
 
 # Few letters plus case, spaces and punctuation: names collide after
-# normalization ("a-b", "A b") and are often a few edits apart; each
-# gazetteer also gets up to three one-letter respellings of its names.
-_PLACE = st.text("abcAB -.", min_size=1, max_size=7)
+# normalization ("a-b", "A b") and are often a few edits apart. The fuzzy
+# index counts code points modulo 32, so "a"/"á" and "m"/"中" share a bucket;
+# "ß" is one more non-ASCII letter. Each gazetteer also gets up to three
+# one-letter respellings of its names and up to two repeated canonical names.
+_LETTERS = "abcmáß中"
+_PLACE = st.text(_LETTERS + "ABÁ -.", min_size=1, max_size=7)
 
 
 @st.composite
@@ -220,7 +261,8 @@ def gazetteers(draw):
     names = draw(st.lists(_PLACE, min_size=1, max_size=6))
     for name in draw(st.lists(st.sampled_from(names), max_size=3)):
         at = draw(st.integers(0, len(name) - 1))
-        names.append(name[:at] + draw(st.sampled_from("abc")) + name[at + 1 :])
+        names.append(name[:at] + draw(st.sampled_from(_LETTERS)) + name[at + 1 :])
+    names += draw(st.lists(st.sampled_from(names), max_size=2))
     entries = [
         GazetteerEntry(name, tuple(draw(st.lists(_PLACE, max_size=2))), float(pos), 0.0)
         for pos, name in enumerate(names)
@@ -229,7 +271,7 @@ def gazetteers(draw):
 
 
 @settings(max_examples=300)
-@given(gazetteers(), _PLACE, st.integers(0, 3))
+@given(gazetteers(), _PLACE, st.integers(0, 4))
 def test_geocode_matches_brute_force_scan(gaz, query, max_edit):
     assert geocode(query, gaz, max_edit) == brute_force_geocode(query, gaz, max_edit)
 
