@@ -590,6 +590,30 @@ def test_fuse_writes_estimate_and_surface(models_dir, fixtures_dir, tmp_path, ca
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+# sha256 of the estimate .tsv and .geojson that `geotri fuse` writes for the demo
+# scenario with the fixture-trained models, recorded before fusion was blocked by vertex.
+FUSE_DIGESTS = {
+    "product": (
+        "6bca9faa8bc3d76346cacbca52b94fef59bd4b037be8ab55e566c1b53a3e1d99",
+        "5258c5983684fcec78d319d76ca800d77202471e5e9f1bcf7d5ac18b7e9ac925",
+    ),
+    "sum": (
+        "505fd3b09f732ee8873f80dcdb5b4d37a91aa9e1adbeec40651b805f569ba0cf",
+        "97cd06ff624afd0e08dda2b3bf641cf158b50dbb30c28cd9e619833b92040a07",
+    ),
+}
+
+
+@pytest.mark.parametrize("fusion", sorted(FUSE_DIGESTS))
+def test_fuse_output_bytes_match_golden_digests(models_dir, fixtures_dir, tmp_path, capsys, fusion):
+    out = tmp_path / "estimate"
+    argv = ["fuse", "--scenario", str(fixtures_dir / "scenario_demo.tsv"), "--models", str(models_dir),
+            "--seed", "0", "--fusion", fusion, "--out", str(out)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert (sha256(out.with_suffix(".tsv")), sha256(out.with_suffix(".geojson"))) == FUSE_DIGESTS[fusion]
+
+
 @pytest.mark.parametrize("header", ["dim\t1", "dim\t0", "bbox\t40.0\t116.0\t40.0\t116.235"])
 def test_fuse_rejects_scenario_without_grid(models_dir, fixtures_dir, tmp_path, capsys, header):
     lines = (fixtures_dir / "scenario_demo.tsv").read_text(encoding="utf-8").splitlines()
