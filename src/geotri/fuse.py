@@ -15,6 +15,7 @@ location, which is never consulted while building the surface.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from .atomic import read_tsv, write_tsv
 from .features import EARTH_RADIUS_KM, feature_components
 from .gazetteer import Poi
-from .predict import Grid, check_grid, make_grid
+from .mixture import _arrays, _log_density
+from .predict import _PAIR_BUDGET, Grid, check_grid, make_grid
 
 __all__ = [
     "Estimate",
@@ -109,7 +111,9 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
 
     Per-vertex evidence is summed over observations sorted by value, which
     makes the result independent of observation order; ``fusion='product'``
-    sums log densities, ``fusion='sum'`` sums raw densities.
+    sums log densities, ``fusion='sum'`` sums raw densities. It is computed
+    per block of vertex columns within ``_PAIR_BUDGET`` observation x vertex
+    pairs, so peak memory no longer grows with observations x vertices.
     """
     if fusion not in FUSION_MODES:
         raise ValueError(f"fusion must be one of {FUSION_MODES}")
@@ -119,23 +123,35 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
         raise MissingModelError(f"no model for relation label(s): {', '.join(missing)}")
 
     grid = make_grid(scenario.bbox, scenario.dim)
-    landmarks = np.array([(landmark.lat, landmark.lon) for _, landmark in used])
-    dist, orient = feature_components(*grid.vertices.T, landmarks[:, :1], landmarks[:, 1:], grid.origin)
-    features = np.stack([dist, orient], axis=-1)
-    per_observation = np.empty(dist.shape)
-    for label in sorted({label for label, _ in used}):
-        rows = [row for row, (other, _) in enumerate(used) if other == label]
-        per_observation[rows] = models[label].logpdf(features[rows].reshape(-1, 2)).reshape(len(rows), -1)
-    per_observation.sort(axis=0)  # columns summed in sorted order: observation order cannot matter
+    by_label = sorted(used, key=lambda observation: observation[0])  # each label's rows contiguous
+    labels = [label for label, _ in by_label]
+    lats, lons = np.array([(landmark.lat, landmark.lon) for _, landmark in by_label]).T[:, :, None]
+    groups = [
+        (slice(bisect_left(labels, label), bisect_right(labels, label)), _arrays(models[label].components))
+        for label in sorted(set(labels))
+    ]
+    starts = list(range(0, grid.vertex_count, max(2, _PAIR_BUDGET // len(used))))
+    if grid.vertex_count - starts[-1] == 1:  # numpy sums a one-column block pairwise, not row by row
+        starts.pop()
+    evidence = np.empty(grid.vertex_count)
+    for start, stop in zip(starts, starts[1:] + [grid.vertex_count]):
+        dist, orient = feature_components(*grid.vertices[start:stop].T, lats, lons, grid.origin)
+        per_observation = np.empty(dist.shape)
+        for rows, params in groups:
+            density = _log_density(dist[rows].ravel(), orient[rows].ravel(), *params)
+            per_observation[rows] = density.reshape(-1, stop - start)
+        per_observation.sort(axis=0)  # columns summed in sorted order: observation order cannot matter
+        if fusion == "sum":
+            np.exp(per_observation, out=per_observation)
+        evidence[start:stop] = per_observation.sum(axis=0)
 
     if fusion == "product":
-        log_vertex = per_observation.sum(axis=0)
-        peak = log_vertex.max()
+        peak = evidence.max()
         if math.isinf(peak):
             raise ValueError("all observations underflowed on every grid vertex")
-        vertex_mass = np.exp(log_vertex - peak)
+        vertex_mass = np.exp(evidence - peak)
     else:
-        vertex_mass = np.exp(per_observation).sum(axis=0)
+        vertex_mass = evidence
         if vertex_mass.max() <= 0.0:
             raise ValueError("all observations underflowed on every grid vertex")
 

@@ -123,7 +123,7 @@ class GmmModel:
 
     def logpdf(self, points) -> np.ndarray:
         """Log mixture density at each row of ``points`` (n, 2)."""
-        return _logsumexp(_log_responsibilities(_as_points(points), *_arrays(self.components)))
+        return _log_density(*_as_points(points).T, *_arrays(self.components))
 
 
 @dataclass(frozen=True)
@@ -250,10 +250,15 @@ def _model_from_arrays(
 
 
 def _log_responsibilities(
-    x: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
+    distance: np.ndarray, orientation: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> np.ndarray:
-    """log w_k + log g_k at each point: (K, n) for ``x`` (n, 2)."""
-    return np.log(weights)[:, None] + _offset_logpdf(x[:, 0] - means[:, :1], x[:, 1] - means[:, 1:], covs)
+    """log w_k + log g_k at each point: (K, n) for the (n,) coordinate arrays."""
+    return np.log(weights)[:, None] + _offset_logpdf(distance - means[:, :1], orientation - means[:, 1:], covs)
+
+
+def _log_density(distance: np.ndarray, orientation: np.ndarray, *params: np.ndarray) -> np.ndarray:
+    """Log density at each point of the (n,) coordinate arrays of the mixture ``_arrays`` gives."""
+    return _logsumexp(_log_responsibilities(distance, orientation, *params))
 
 
 def _m_step(resp: np.ndarray, x: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -293,7 +298,7 @@ def em_fit(data, model: GmmModel, history: list[float] | None = None) -> GmmMode
     weights, means, covs = _arrays(model.components)
     previous = None
     for _ in range(EM_MAX_ITER):
-        log_joint = _log_responsibilities(x, weights, means, covs)
+        log_joint = _log_responsibilities(*x.T, weights, means, covs)
         log_norm = _logsumexp(log_joint)
         loglik = float(log_norm.sum())
         if history is not None:
@@ -320,7 +325,7 @@ def generate_candidates(data, model: GmmModel, rng: np.random.Generator) -> list
     """
     x = _training_points(data)
     weights, means, covs = _arrays(model.components)
-    assignment = np.argmax(_log_responsibilities(x, weights, means, covs), axis=0)
+    assignment = np.argmax(_log_responsibilities(*x.T, weights, means, covs), axis=0)
     candidates: list[GaussianComponent] = []
     for k in range(model.component_count):
         partition = x[assignment == k]

@@ -144,9 +144,10 @@ class PredictionSurface:
     underflow_vertices: tuple[int, ...] = ()
 
 
-# Point x vertex pairs per model-selection block of a trial, so its feature and
-# log-density arrays stay a few MB at any grid dim.
-_SELECT_PAIRS = 1 << 15
+# Point x vertex pairs per model-selection block of a trial and observation x vertex
+# pairs per evidence block of ``fuse``: each feature or per-component density array is
+# then 256 KB and stays in cache at any size. 2**15 was the fastest of 2**12 ... 2**17.
+_PAIR_BUDGET = 1 << 15
 
 
 def _point_features(points: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +368,7 @@ def prediction_trial(
     labels = sorted(models)
     choices = np.empty((n_points, grid.vertex_count), dtype=np.min_scalar_type(len(labels)))
     ranks = np.empty(n_points, dtype=int)
-    block = max(1, _SELECT_PAIRS // grid.vertex_count)
+    block = max(1, _PAIR_BUDGET // grid.vertex_count)
     for start in range(0, n_points, block):
         chunk = points[start : start + block]
         _, choice, _ = _select_models(chunk, grid, models)

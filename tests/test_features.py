@@ -81,10 +81,58 @@ def test_feature_vector_coincident_points():
 
 
 def test_orientation_a_hair_below_zero_folds_to_zero():
-    # atan2 gives about -5.3e-52 degrees here, which % 360.0 rounds up to 360.0.
+    # atan2 gives about -5.3e-52 degrees here, which the fold into [0, 360) rounds up to 360.0.
     vec = feature_vector(Poi("u", 0.0, 1.0), Poi("v", 9.2e-54, 0.0), ProjectionOrigin(0.0, 0.0))
     assert vec.orientation == 0.0
     assert vec.distance > 0.0
+
+
+def remainder_components(lat_u, lon_u, lat_v, lon_v, origin):
+    """Features with the orientation folded by ``% 360.0``, as before the fold became an addition."""
+    xu, yu = project(lat_u, lon_u, origin)
+    xv, yv = project(lat_v, lon_v, origin)
+    dx, dy = xu - xv, yu - yv
+    distance = np.hypot(dx, dy)
+    orientation = np.degrees(np.arctan2(dy, dx)) % 360.0
+    return distance, np.where((distance == 0.0) | (orientation == 360.0), 0.0, orientation)
+
+
+# (subject, reference, origin) triples whose orientation sits on a fold edge.
+ZERO = ProjectionOrigin(0.0, 0.0)
+FOLD_EDGES = [
+    ((40.1, 116.2), (40.1, 116.1), ORIGIN),  # due east, dy exactly +0.0
+    ((40.1, 116.0), (40.1, 116.1), ORIGIN),  # due west: atan2 gives +180
+    ((-0.0, -1.0), (0.0, 0.0), ZERO),  # dy = -0.0 with dx < 0: atan2 gives -180
+    ((40.2, 116.1), (40.1, 116.1), ORIGIN),  # due north
+    ((40.0, 116.1), (40.1, 116.1), ORIGIN),  # due south: -90
+    ((40.1, 116.1), (40.1, 116.1), ORIGIN),  # coincident
+    ((-0.0, 0.0), (0.0, 0.0), ZERO),  # coincident with dy = -0.0
+    ((-0.0, 1.0), (0.0, 0.0), ZERO),  # dy = -0.0 with dx > 0: atan2 gives -0.0
+    ((0.0, 1.0), (9.2e-54, 0.0), ZERO),  # about -5.3e-52 degrees: rounds up to 360, folds to 0
+    ((0.0, 1.0), (4e-16, 0.0), ZERO),  # about -2.29e-14 degrees, under half an ulp of 360: folds to 0
+    ((0.0, 1.0), (5e-16, 0.0), ZERO),  # about -2.86e-14 degrees: ends one ulp below 360
+]
+
+
+def test_orientation_fold_matches_remainder_reference_bitwise():
+    rng = np.random.default_rng(15)
+    lat_u, lat_v = rng.uniform(39.9, 40.3, (2, 5000))
+    lon_u, lon_v = rng.uniform(115.9, 116.4, (2, 5000))
+    pairwise = (lat_u[:, None], lon_u[:, None], lat_v[:50], lon_v[:50], ORIGIN)
+    for args in [(lat_u, lon_u, lat_v, lon_v, ORIGIN), pairwise]:
+        for got, want in zip(feature_components(*args), remainder_components(*args)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    for subject, reference, origin in FOLD_EDGES:
+        args = (*subject, *reference, origin)
+        distance, orientation = feature_components(*args)
+        want_distance, want_orientation = remainder_components(*args)
+        assert orientation.shape == ()
+        assert (distance.tobytes(), orientation.tobytes()) == (want_distance.tobytes(), want_orientation.tobytes())
+        vec = feature_vector(Poi("u", *subject), Poi("v", *reference), origin)
+        assert np.float64(vec.orientation).tobytes() == want_orientation.tobytes(), (subject, reference)
+        assert np.float64(vec.distance).tobytes() == want_distance.tobytes()
+        assert 0.0 <= vec.orientation < 360.0 and math.copysign(1.0, vec.orientation) == 1.0
 
 
 def test_feature_components_vectorized():

@@ -21,7 +21,7 @@ from geotri.fuse import (
 from geotri.features import feature_components
 from geotri.gazetteer import Poi
 from geotri.mixture import GaussianComponent, GmmModel
-from geotri.predict import make_grid
+from geotri.predict import _PAIR_BUDGET, make_grid
 from geotri.synth import CITY_BBOX, consistent_scenario, synthetic_city_models
 
 BBOX = CITY_BBOX
@@ -207,6 +207,67 @@ def test_fuse_matches_per_observation_fsum(fusion):
     region = region / math.fsum(region)
     estimate = fuse(scenario, models, fusion=fusion)
     assert np.abs(estimate.region_likelihoods - region).max() <= 1e-12 * region.max()
+
+
+def one_pass_fuse(scenario, models, fusion):
+    """Region likelihoods and centre from all vertices at once, as fuse computed them before it was blocked."""
+    grid = make_grid(scenario.bbox, scenario.dim)
+    used = scenario.observations
+    landmarks = np.array([(landmark.lat, landmark.lon) for _, landmark in used])
+    dist, orient = feature_components(*grid.vertices.T, landmarks[:, :1], landmarks[:, 1:], grid.origin)
+    features = np.stack([dist, orient], axis=-1)
+    per_observation = np.empty(dist.shape)
+    for label in sorted({label for label, _ in used}):
+        rows = [row for row, (other, _) in enumerate(used) if other == label]
+        per_observation[rows] = models[label].logpdf(features[rows].reshape(-1, 2)).reshape(len(rows), -1)
+    per_observation.sort(axis=0)
+    if fusion == "product":
+        log_vertex = per_observation.sum(axis=0)
+        vertex_mass = np.exp(log_vertex - log_vertex.max())
+    else:
+        vertex_mass = np.exp(per_observation).sum(axis=0)
+    region = grid.region_average(vertex_mass / math.fsum(vertex_mass))
+    region = region / math.fsum(region)
+    centers = grid.region_centers()
+    return region, (math.fsum(region * centers[:, 0]), math.fsum(region * centers[:, 1]))
+
+
+def random_scenario(n: int, dim: int, seed: int) -> Scenario:
+    rng = np.random.default_rng(seed)
+    lats = rng.uniform(BBOX[0], BBOX[2], n)
+    lons = rng.uniform(BBOX[1], BBOX[3], n)
+    labels = rng.choice(sorted(synthetic_city_models()), n)
+    observations = tuple((str(label), Poi(f"l{i}", lat, lon)) for i, label, lat, lon in zip(range(n), labels, lats, lons))
+    return Scenario(Poi("hidden", 40.09, 116.12), observations, BBOX, dim)
+
+
+def flat_city_models() -> dict[str, GmmModel]:
+    """The city models with 10**6 times their covariances. The fused evidence is then nearly flat
+    over the grid, so a last-bit change in any vertex's sum, the corners' too, shows in the regions."""
+    return {
+        label: GmmModel(label, tuple(GaussianComponent(c.weight, c.mean, 1e6 * c.covariance) for c in m.components))
+        for label, m in synthetic_city_models().items()
+    }
+
+
+@pytest.mark.parametrize("models", [synthetic_city_models(), flat_city_models()], ids=["city", "flat"])
+@pytest.mark.parametrize("fusion", ["product", "sum"])
+@pytest.mark.parametrize(
+    "n, dim",
+    [
+        (200, 60),  # 163-column blocks and a 14-column tail
+        (_PAIR_BUDGET // 112, 15),  # 112-column blocks: 225 = 2 * 112 + 1 leaves a one-column tail
+        (_PAIR_BUDGET // 2 + 1, 3),  # a block would be one column wide; 9 = 4 * 2 + 1 leaves one more
+        (1, 60),  # a single observation: one block of every vertex
+        (_PAIR_BUDGET + 1, 4),  # more observations than the pair budget
+    ],
+)
+def test_blocked_fuse_equals_one_pass_bitwise(n, dim, fusion, models):
+    scenario = random_scenario(n, dim, seed=n)
+    region, center = one_pass_fuse(scenario, models, fusion)
+    estimate = fuse(scenario, models, fusion=fusion)
+    assert estimate.region_likelihoods.tobytes() == region.tobytes()
+    assert estimate.center == center
 
 
 def test_fuse_duplicate_observation_sharpens_surface():

@@ -378,7 +378,7 @@ def test_prediction_trial_keeps_label_choices():
 @pytest.mark.parametrize("dim", [7, 15, 30])
 def test_prediction_trial_choices_and_ranks_match_score_point(dim):
     # More points than one selection block holds, and not a multiple of it.
-    n_points = predict._SELECT_PAIRS // (dim * dim) + 3
+    n_points = predict._PAIR_BUDGET // (dim * dim) + 3
     models = synthetic_city_models()
     trial = prediction_trial(models, BBOX, dim, n_points, seed=dim)
     grid = trial.grid
