@@ -23,7 +23,6 @@ import numpy as np
 from .atomic import read_tsv, write_tsv
 from .features import EARTH_RADIUS_KM, feature_components
 from .gazetteer import Poi
-from .mixture import _arrays, _log_density
 from .predict import _PAIR_BUDGET, Grid, check_grid, make_grid
 
 __all__ = [
@@ -127,7 +126,7 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
     labels = [label for label, _ in by_label]
     lats, lons = np.array([(landmark.lat, landmark.lon) for _, landmark in by_label]).T[:, :, None]
     groups = [
-        (slice(bisect_left(labels, label), bisect_right(labels, label)), _arrays(models[label].components))
+        (slice(bisect_left(labels, label), bisect_right(labels, label)), models[label])
         for label in sorted(set(labels))
     ]
     starts = list(range(0, grid.vertex_count, max(2, _PAIR_BUDGET // len(used))))
@@ -137,9 +136,8 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
     for start, stop in zip(starts, starts[1:] + [grid.vertex_count]):
         dist, orient = feature_components(*grid.vertices[start:stop].T, lats, lons, grid.origin)
         per_observation = np.empty(dist.shape)
-        for rows, params in groups:
-            density = _log_density(dist[rows].ravel(), orient[rows].ravel(), *params)
-            per_observation[rows] = density.reshape(-1, stop - start)
+        for rows, model in groups:
+            per_observation[rows] = model.logpdf(dist[rows].ravel(), orient[rows].ravel()).reshape(-1, stop - start)
         per_observation.sort(axis=0)  # columns summed in sorted order: observation order cannot matter
         if fusion == "sum":
             np.exp(per_observation, out=per_observation)

@@ -20,6 +20,9 @@ gains at most ``EM_TOL`` relative, or after ``EM_MAX_ITER`` iterations.
 
 A round's candidates are tuned in lockstep as (candidates, points) arrays;
 each stops on its own gain, as it would alone, and then leaves the arrays.
+Every density is one form: ``_density_terms`` builds it (a model once, on
+first use; EM and refinement per iteration) and ``_log_joint`` evaluates it,
+with ``GmmModel.logpdf(distance, orientation)`` its log-sum-exp.
 The 2x2 covariance maths is closed form, vectorized over components or
 candidates: determinant and quadratic form for densities, eigenvalues
 (a + c)/2 +- hypot((a - c)/2, b) for the floor, which clamps them to
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +64,6 @@ ACCEPT_TOL = 1e-2
 CANDIDATES_PER_COMPONENT = 10
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_LOG_HALF = math.log(0.5)
 
 
 class InsufficientDataError(ValueError):
@@ -73,7 +76,7 @@ class InvalidParameterError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianComponent:
-    """One weighted bivariate Gaussian."""
+    """One weighted bivariate Gaussian; its covariance must be positive definite."""
 
     weight: float
     mean: np.ndarray
@@ -90,9 +93,11 @@ class GaussianComponent:
         if not (0.0 < self.weight <= 1.0):
             raise InvalidParameterError(f"weight must lie in (0, 1]: {self.weight}")
         # np.allclose(cov, cov.T, atol=1e-9) on the off-diagonal pair, without its overhead.
-        c01, c10 = values[3], values[4]
+        a, c01, c10, c = values[2:]
         if abs(c01 - c10) > 1e-9 + 1e-5 * min(abs(c01), abs(c10)):
             raise InvalidParameterError("covariance must be symmetric")
+        if not (a > 0.0 and a * c - c10 * c10 > 0.0):
+            raise InvalidParameterError(f"covariance not positive definite: {cov.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,12 @@ class GmmModel:
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise InvalidParameterError("a model needs at least one component")
+
+    @cached_property
+    def _density(self) -> tuple[np.ndarray, ...]:
+        """``_density_terms`` of the components, built on first use and kept."""
+        weights, means, covs = _arrays(self.components)
+        return _density_terms(np.log(weights), means, covs)
 
     @property
     def component_count(self) -> int:
@@ -121,9 +132,12 @@ class GmmModel:
         if lowest < VARIANCE_FLOOR * (1.0 - 1e-6):
             raise InvalidParameterError(f"covariance eigenvalue {lowest} below floor {VARIANCE_FLOOR}")
 
-    def logpdf(self, points) -> np.ndarray:
-        """Log mixture density at each row of ``points`` (n, 2)."""
-        return _log_density(*_as_points(points).T, *_arrays(self.components))
+    def logpdf(self, distance, orientation) -> np.ndarray:
+        """Log mixture density (n,) at the points of the (n,) coordinate arrays."""
+        if np.ndim(distance) != 1 or np.shape(distance) != np.shape(orientation):
+            raise ValueError(f"expected two (n,) arrays, got {np.shape(distance)} and {np.shape(orientation)}")
+        terms = self._density
+        return _logsumexp(_log_joint(distance - terms[1], orientation - terms[2], terms))
 
 
 @dataclass(frozen=True)
@@ -162,24 +176,30 @@ def _training_points(data) -> np.ndarray:
     return x
 
 
-def _offset_logpdf(dx: np.ndarray, dy: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of N(0, cov) at the offsets (dx, dy), each (..., n).
+def _density_terms(log_weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(log w, mean distance, mean orientation, c s, b / det, a s, -log 2 pi - log(det) / 2), each (K, 1).
 
-    With cov = [[a, b], [b, c]] and det = ac - b^2 the quadratic form is
-    (c dx^2 - 2b dx dy + a dy^2) / det. The formula would not fail on a
-    covariance that is not positive definite, so a > 0 and det > 0 are checked.
+    With cov = [[a, b], [b, c]], det = ac - b^2 and s = -1/(2 det), the log density at offset (dx, dy)
+    is (c s dx + (b / det) dy) dx + a s dy^2 - log 2 pi - log(det) / 2; a > 0 and det > 0 are checked.
     """
-    a, b, c = cov[..., 0, 0], cov[..., 1, 0], cov[..., 1, 1]
+    a, b, c = covs[:, 0, :1], covs[:, 1, :1], covs[:, 1, 1:]
     det = a * c - b * b
-    if not (np.all(a > 0.0) and np.all(det > 0.0)):
-        raise InvalidParameterError(f"covariance not positive definite: {cov.tolist()}")
+    if not np.minimum(a, det).min() > 0.0:  # a > 0 and det > 0; a NaN fails too
+        raise InvalidParameterError(f"covariance not positive definite: {covs.tolist()}")
     scale = -0.5 / det
-    out = (c * scale)[..., None] * dx
-    out += (b / det)[..., None] * dy
+    log_norm = -_LOG_2PI - 0.5 * np.log(det)
+    return log_weights[:, None], means[:, :1], means[:, 1:], c * scale, b / det, a * scale, log_norm
+
+
+def _log_joint(dx: np.ndarray, dy: np.ndarray, terms: tuple[np.ndarray, ...]) -> np.ndarray:
+    """log w_k + log g_k (K, n) at the offsets dx, dy (K, n) of each point from mean k."""
+    log_weights, _, _, c_s, b_det, a_s, log_norm = terms
+    out = c_s * dx
+    out += b_det * dy
     out *= dx
-    out += (a * scale)[..., None] * (dy * dy)
-    out += (-_LOG_2PI - 0.5 * np.log(det))[..., None]
-    return out
+    out += a_s * (dy * dy)
+    out += log_norm
+    return log_weights + out
 
 
 def _logsumexp(stacked: np.ndarray) -> np.ndarray:
@@ -199,7 +219,7 @@ def gmm_log_likelihood(data, model: GmmModel) -> float:
     x = _as_points(data)
     if x.shape[0] == 0:
         raise ValueError("data must be non-empty")
-    return float(np.sum(model.logpdf(x)))
+    return float(np.sum(model.logpdf(*x.T)))
 
 
 def _eigen_form(cov: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -234,31 +254,9 @@ def _floor_covariance(cov: np.ndarray) -> np.ndarray:
 
 def _arrays(components) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     weights = np.array([c.weight for c in components])
-    means = np.stack([c.mean for c in components])
-    covs = np.stack([c.covariance for c in components])
+    means = np.array([c.mean for c in components])
+    covs = np.array([c.covariance for c in components])
     return weights, means, covs
-
-
-def _model_from_arrays(
-    relation: str, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> GmmModel:
-    weights = weights / weights.sum()
-    components = tuple(
-        GaussianComponent(float(w), m, c) for w, m, c in zip(weights, means, covs)
-    )
-    return GmmModel(relation, components)
-
-
-def _log_responsibilities(
-    distance: np.ndarray, orientation: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> np.ndarray:
-    """log w_k + log g_k at each point: (K, n) for the (n,) coordinate arrays."""
-    return np.log(weights)[:, None] + _offset_logpdf(distance - means[:, :1], orientation - means[:, 1:], covs)
-
-
-def _log_density(distance: np.ndarray, orientation: np.ndarray, *params: np.ndarray) -> np.ndarray:
-    """Log density at each point of the (n,) coordinate arrays of the mixture ``_arrays`` gives."""
-    return _logsumexp(_log_responsibilities(distance, orientation, *params))
 
 
 def _m_step(resp: np.ndarray, x: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -295,10 +293,11 @@ def em_fit(data, model: GmmModel, history: list[float] | None = None) -> GmmMode
         raise InsufficientDataError(
             f"{n} points cannot support {model.component_count} components"
         )
-    weights, means, covs = _arrays(model.components)
+    terms = model._density
+    dx, dy = x[:, 0] - terms[1], x[:, 1] - terms[2]
     previous = None
     for _ in range(EM_MAX_ITER):
-        log_joint = _log_responsibilities(*x.T, weights, means, covs)
+        log_joint = _log_joint(dx, dy, terms)
         log_norm = _logsumexp(log_joint)
         loglik = float(log_norm.sum())
         if history is not None:
@@ -309,9 +308,12 @@ def em_fit(data, model: GmmModel, history: list[float] | None = None) -> GmmMode
 
         resp = np.exp(log_joint - log_norm)
         counts = np.maximum(resp.sum(axis=1), 1e-10)
-        means, covs, _, _ = _m_step(resp, x, counts)
+        means, covs, dx, dy = _m_step(resp, x, counts)
         weights = counts / counts.sum()
-    return _model_from_arrays(model.relation, weights, means, covs)
+        terms = _density_terms(np.log(weights), means, covs)
+    weights = weights / weights.sum()
+    components = tuple(GaussianComponent(float(w), m, c) for w, m, c in zip(weights, means, covs))
+    return GmmModel(model.relation, components)
 
 
 def generate_candidates(data, model: GmmModel, rng: np.random.Generator) -> list[GaussianComponent]:
@@ -324,8 +326,8 @@ def generate_candidates(data, model: GmmModel, rng: np.random.Generator) -> list
     weight 1/2.
     """
     x = _training_points(data)
-    weights, means, covs = _arrays(model.components)
-    assignment = np.argmax(_log_responsibilities(*x.T, weights, means, covs), axis=0)
+    terms = model._density
+    assignment = np.argmax(_log_joint(x[:, 0] - terms[1], x[:, 1] - terms[2], terms), axis=0)
     candidates: list[GaussianComponent] = []
     for k in range(model.component_count):
         partition = x[assignment == k]
@@ -359,9 +361,9 @@ def _refine_candidates(
     base_total = float(base_logpdf.sum())
     weights, means, covs = _arrays(candidates)
 
-    def mix(weights, covs, dx, dy):
-        d = _offset_logpdf(dx, dy, covs)
-        d += (np.log(weights) - np.log1p(-weights))[:, None]
+    def mix(weights, means, covs, dx, dy):
+        # The log odds log a - log(1 - a) stands in for the log weight.
+        d = _log_joint(dx, dy, _density_terms(np.log(weights) - np.log1p(-weights), means, covs))
         d -= base_logpdf
         # Clamping d at -700 changes softplus(d) and sigmoid(d) by under
         # 1e-300. Then e = exp(-d) is finite, softplus(d) = d + log(1 + e) and
@@ -373,7 +375,7 @@ def _refine_candidates(
         loglik += np.log(d).sum(axis=1)
         return np.reciprocal(d, out=d), loglik
 
-    resp, loglik = mix(weights, covs, x[:, 0] - means[:, :1], x[:, 1] - means[:, 1:])
+    resp, loglik = mix(weights, means, covs, x[:, 0] - means[:, :1], x[:, 1] - means[:, 1:])
     mixed = loglik.copy()
     live = np.arange(len(candidates))
     for _ in range(EM_MAX_ITER):
@@ -382,7 +384,7 @@ def _refine_candidates(
         live, resp, totals, loglik = live[keep], resp[keep], totals[keep], loglik[keep]
         step_weights = np.clip(totals / n, 1e-10, 1.0 - 1e-10)
         step_means, step_covs, dx, dy = _m_step(resp, x, totals)
-        resp, updated = mix(step_weights, step_covs, dx, dy)
+        resp, updated = mix(step_weights, step_means, step_covs, dx, dy)
         weights[live], means[live], covs[live], mixed[live] = step_weights, step_means, step_covs, updated
         keep = updated - loglik > EM_TOL * np.maximum(1.0, np.abs(updated))
         live, resp, loglik = live[keep], resp[keep], updated[keep]
@@ -427,7 +429,7 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
         candidates = generate_candidates(x, current, rng)
         if not candidates:
             break
-        _, best, _ = _refine_candidates(x, current.logpdf(x), candidates)
+        _, best, _ = _refine_candidates(x, current.logpdf(*x.T), candidates)
         grown = em_fit(x, _insert_component(current, best))
         grown_ll = gmm_log_likelihood(x, grown)
         if grown_ll <= current_ll + ACCEPT_TOL * max(1.0, abs(current_ll)):

@@ -167,8 +167,8 @@ def _select_models(points: np.ndarray, grid: Grid, models) -> tuple[list[str], n
     """
     labels = sorted(models)
     dist, orient = _point_features(points, grid)
-    features = np.column_stack([dist.ravel(), orient.ravel()])
-    log_densities = np.stack([models[label].logpdf(features).reshape(dist.shape) for label in labels])
+    flat = dist.ravel(), orient.ravel()
+    log_densities = np.stack([models[label].logpdf(*flat).reshape(dist.shape) for label in labels])
     return labels, np.argmax(log_densities, axis=0), np.max(log_densities, axis=0)
 
 
@@ -188,8 +188,8 @@ def _offset_kernels(grid: Grid, models) -> np.ndarray:
     dist, orient = feature_components(
         lats[subject, None], lons[subject], lats[reference, None], lons[reference], grid.origin
     )
-    offsets = np.column_stack([dist.ravel(), orient.ravel()])
-    return np.stack([models[label].logpdf(offsets).reshape(dist.shape) for label in sorted(models)])
+    flat = dist.ravel(), orient.ravel()
+    return np.stack([models[label].logpdf(*flat).reshape(dist.shape) for label in sorted(models)])
 
 
 def _row_toeplitz(exp_kernels: np.ndarray, dim: int) -> np.ndarray:

@@ -50,8 +50,8 @@ class UniformDensityModel:
     def __init__(self, relation: str = "anywhere"):
         self.relation = relation
 
-    def logpdf(self, points) -> np.ndarray:
-        return np.zeros(np.asarray(points, dtype=float).reshape(-1, 2).shape[0])
+    def logpdf(self, distance, orientation) -> np.ndarray:
+        return np.zeros(np.shape(distance))
 
 
 def _diag(var_d: float, var_o: float) -> np.ndarray:

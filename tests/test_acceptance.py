@@ -146,7 +146,7 @@ def test_criterion_5_normalization(capfd):
         cell = (edges[0][1] - edges[0][0]) * (edges[1][1] - edges[1][0])
         grid_d, grid_o = np.meshgrid(mids[0], mids[1], indexing="ij")
         points = np.column_stack([grid_d.ravel(), grid_o.ravel()])
-        integral = float(np.exp(model.logpdf(points)).sum() * cell)
+        integral = float(np.exp(model.logpdf(*points.T)).sum() * cell)
         worst = max(worst, abs(integral - 1.0))
     grid = make_grid(CITY_BBOX, 15)
     rng = np.random.default_rng(5)

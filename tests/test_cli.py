@@ -349,7 +349,7 @@ def test_hand_written_model_file_density(tmp_path):
     )
     model = load_model(path)
     expected = 1.0 / (2.0 * math.pi * math.sqrt(36.0))
-    assert math.exp(model.logpdf([1.0, 2.0])[0]) == pytest.approx(expected, rel=1e-12)
+    assert math.exp(model.logpdf([1.0], [2.0])[0]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_truncated_model_file_reports_line(tmp_path):

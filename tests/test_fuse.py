@@ -22,7 +22,7 @@ from geotri.features import feature_components
 from geotri.gazetteer import Poi
 from geotri.mixture import GaussianComponent, GmmModel
 from geotri.predict import _PAIR_BUDGET, make_grid
-from geotri.synth import CITY_BBOX, consistent_scenario, synthetic_city_models
+from geotri.synth import CITY_BBOX, UniformDensityModel, consistent_scenario, synthetic_city_models
 
 BBOX = CITY_BBOX
 
@@ -135,6 +135,14 @@ def test_fuse_missing_model_names_label():
         fuse(scenario, models, fraction=1.0, seed=0)
 
 
+@pytest.mark.parametrize("fusion", ["product", "sum"])
+def test_fuse_accepts_any_model_with_logpdf(fusion):
+    scenario = consistent_scenario(6, 0)
+    models = {label: UniformDensityModel(label) for label, _ in scenario.observations}
+    estimate = fuse(scenario, models, fusion=fusion)
+    np.testing.assert_allclose(estimate.region_likelihoods, 1.0 / estimate.grid.region_count, rtol=1e-12, atol=0)
+
+
 def test_fuse_region_mass_normalized():
     estimate = fuse(demo_scenario(), synthetic_city_models(), fraction=1.0, seed=0)
     assert math.fsum(estimate.region_likelihoods.tolist()) == pytest.approx(1.0, abs=1e-9)
@@ -196,7 +204,7 @@ def test_fuse_matches_per_observation_fsum(fusion):
         dist, orient = feature_components(
             grid.vertices[:, 0], grid.vertices[:, 1], landmark.lat, landmark.lon, grid.origin
         )
-        rows.append(models[label].logpdf(np.column_stack([dist, orient])))
+        rows.append(models[label].logpdf(dist, orient))
     per_observation = np.array(rows)
     if fusion == "product":
         log_vertex = np.array([math.fsum(column) for column in per_observation.T.tolist()])
@@ -219,7 +227,7 @@ def one_pass_fuse(scenario, models, fusion):
     per_observation = np.empty(dist.shape)
     for label in sorted({label for label, _ in used}):
         rows = [row for row, (other, _) in enumerate(used) if other == label]
-        per_observation[rows] = models[label].logpdf(features[rows].reshape(-1, 2)).reshape(len(rows), -1)
+        per_observation[rows] = models[label].logpdf(*features[rows].reshape(-1, 2).T).reshape(len(rows), -1)
     per_observation.sort(axis=0)
     if fusion == "product":
         log_vertex = per_observation.sum(axis=0)

@@ -34,7 +34,7 @@ from geotri.mixture import (
     gmm_log_likelihood,
     greedy_train,
 )
-from geotri.synth import sample_mixture, sample_training_data
+from geotri.synth import sample_mixture, sample_training_data, synthetic_city_models
 
 
 def naive_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
@@ -112,7 +112,7 @@ def test_component_logpdf_matches_inverse_determinant_formula():
         quad = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(cov), diff)
         naive = -math.log(2.0 * math.pi) - 0.5 * math.log(np.linalg.det(cov)) - 0.5 * quad
         model = GmmModel("r", (GaussianComponent(1.0, mean, cov),))
-        np.testing.assert_allclose(model.logpdf(x), naive, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(model.logpdf(*x.T), naive, rtol=0.0, atol=1e-12)
 
 
 def test_package_trains_and_scores_without_scipy():
@@ -162,14 +162,14 @@ def test_gaussian_pdf_closed_form_at_mean():
     cov = np.array([[2.0, 0.3], [0.3, 1.5]])
     component = GaussianComponent(1.0, [3.0, 4.0], cov)
     expected = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
-    density = math.exp(GmmModel("r", (component,)).logpdf([3.0, 4.0])[0])
+    density = math.exp(GmmModel("r", (component,)).logpdf([3.0], [4.0])[0])
     assert density == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_pdf_isotropic_offset():
     component = GaussianComponent(1.0, [0.0, 0.0], np.eye(2))
     expected = math.exp(-0.5) / (2.0 * math.pi)
-    density = math.exp(GmmModel("r", (component,)).logpdf([1.0, 0.0])[0])
+    density = math.exp(GmmModel("r", (component,)).logpdf([1.0], [0.0])[0])
     assert density == pytest.approx(expected, rel=1e-12)
 
 
@@ -424,6 +424,61 @@ def component_rows(model: GmmModel) -> np.ndarray:
     )
 
 
+def reference_logpdf(model: GmmModel, distance: np.ndarray, orientation: np.ndarray) -> np.ndarray:
+    """Log density with every term rebuilt per call, in the order the stored form must keep."""
+    weights = np.array([c.weight for c in model.components])
+    means = np.stack([c.mean for c in model.components])
+    cov = np.stack([c.covariance for c in model.components])
+    dx, dy = distance - means[:, :1], orientation - means[:, 1:]
+    a, b, c = cov[..., 0, 0], cov[..., 1, 0], cov[..., 1, 1]
+    det = a * c - b * b
+    scale = -0.5 / det
+    out = (c * scale)[..., None] * dx
+    out += (b / det)[..., None] * dy
+    out *= dx
+    out += (a * scale)[..., None] * (dy * dy)
+    out += (-math.log(2.0 * math.pi) - 0.5 * np.log(det))[..., None]
+    stacked = np.log(weights)[:, None] + out
+    peak = stacked.max(axis=0)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(stacked - shift).sum(axis=0)) + shift
+
+
+def bitwise_cases() -> dict[str, GmmModel]:
+    rows = {"one lobe": ((1.0, 2.0, 45.0, 0.5, 0.1, 30.0),), **GOLDEN}
+    models = {
+        label: GmmModel(
+            label, tuple(GaussianComponent(w, (d, o), [[s00, s01], [s01, s11]]) for w, d, o, s00, s01, s11 in r)
+        )
+        for label, r in rows.items()
+    }
+    return {**models, **{f"city {label}": model for label, model in synthetic_city_models().items()}}
+
+
+@pytest.mark.parametrize("label", sorted(bitwise_cases()))
+def test_logpdf_is_bitwise_the_per_call_formula(label):
+    model = bitwise_cases()[label]
+    rng = np.random.default_rng(13)
+    distance = np.concatenate([rng.uniform(0.0, 25.0, 500), [40.0, 1e3, 1e5, 1e200, -1e200]])
+    orientation = np.concatenate([rng.uniform(0.0, 360.0, 500), [0.0, 359.9, 180.0, 90.0, 270.0]])
+    # The last two points overflow every component's quadratic form.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours = model.logpdf(distance, orientation)
+        reference = reference_logpdf(model, distance, orientation)
+    assert np.isneginf(ours[-2:]).all()
+    assert np.isfinite(ours[:-2]).all()
+    assert np.exp(ours[-4]) == 0.0
+    np.testing.assert_allclose(ours, reference, rtol=0, atol=0)
+
+
+def test_logpdf_takes_two_equal_one_dimensional_arrays():
+    model = GmmModel("r", (GaussianComponent(1.0, [1.0, 2.0], np.eye(2)),))
+    for distance, orientation in ((np.zeros((2, 3)), np.zeros((2, 3))), (np.zeros(3), np.zeros(4))):
+        with pytest.raises(ValueError, match=r"two \(n,\) arrays"):
+            model.logpdf(distance, orientation)
+
+
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_greedy_matches_golden_models(label):
     x, cfg = golden_fit(label)
@@ -494,7 +549,7 @@ def test_every_round_selects_the_per_candidate_winner(label):
     rounds = 0
     while current.component_count < cfg.max_components:
         candidates = generate_candidates(x, current, rng)
-        base = current.logpdf(x)
+        base = current.logpdf(*x.T)
         index, refined, mixed = _refine_candidates(x, base, candidates)
         ref_index, ref_refined, ref_mixed = refine_per_candidate(x, base, candidates)
         assert index == ref_index
@@ -518,7 +573,7 @@ def test_every_round_selects_the_per_candidate_winner(label):
 def test_refinement_tie_goes_to_the_first_candidate():
     x = pair_data(100, 1.0, seed=5)
     model = GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),))
-    base = model.logpdf(x)
+    base = model.logpdf(*x.T)
     a, b = generate_candidates(x, model, np.random.default_rng(2))[:2]
     alone = {id(c): _refine_candidates(x, base, [c])[1:] for c in (a, b)}
     assert alone[id(a)][1] != alone[id(b)][1]
@@ -576,12 +631,10 @@ def test_floor_covariance_matches_eigh_oracle():
     ],
 )
 def test_density_rejects_covariance_that_is_not_positive_definite(cov):
-    bad = GaussianComponent(0.5, [1.0, 90.0], cov)
     with pytest.raises(InvalidParameterError, match="positive definite"):
-        GmmModel("near", (bad,)).logpdf([1.0, 90.0])
-    model = GmmModel("near", (GaussianComponent(0.5, [0.0, 0.0], np.eye(2)), bad))
+        GmmModel("near", (GaussianComponent(0.5, [1.0, 90.0], cov),))
     with pytest.raises(InvalidParameterError, match="positive definite"):
-        model.logpdf([[1.0, 90.0], [2.0, 80.0]])
+        GmmModel("near", (GaussianComponent(0.5, [0.0, 0.0], np.eye(2)), GaussianComponent(0.5, [1.0, 90.0], cov)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

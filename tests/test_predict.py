@@ -152,7 +152,7 @@ def best_model(point, ref_vertex, models, origin: ProjectionOrigin) -> str:
     labels = sorted(models)
     dist, orient = feature_components(point[0], point[1], ref_vertex[0], ref_vertex[1], origin)
     x = np.array([[float(dist), float(orient)]])
-    scores = [float(models[label].logpdf(x)[0]) for label in labels]
+    scores = [float(models[label].logpdf(*x.T)[0]) for label in labels]
     return labels[int(np.argmax(scores))]
 
 
@@ -218,7 +218,7 @@ def direct_surface(point, grid, models):
     labels = sorted(models)
     lats, lons = grid.vertices[:, 0], grid.vertices[:, 1]
     dist, orient = feature_components(point[0], point[1], lats, lons, grid.origin)
-    selection = np.stack([models[label].logpdf(np.column_stack([dist, orient])) for label in labels])
+    selection = np.stack([models[label].logpdf(dist, orient) for label in labels])
     choice = np.argmax(selection, axis=0)
     underflow = tuple(int(i) for i in np.flatnonzero(np.isneginf(selection.max(axis=0))))
     pair_dist, pair_orient = feature_components(
@@ -228,7 +228,7 @@ def direct_surface(point, grid, models):
     log_surface = np.empty(pair_dist.shape)
     for index, label in enumerate(labels):
         rows = choice == index
-        log_surface[rows] = models[label].logpdf(pairs[rows].reshape(-1, 2)).reshape(-1, grid.vertex_count)
+        log_surface[rows] = models[label].logpdf(*pairs[rows].reshape(-1, 2).T).reshape(-1, grid.vertex_count)
     peak = log_surface.max()
     if math.isinf(peak):
         scaled = np.ones_like(log_surface)
@@ -265,8 +265,7 @@ class WithinStub:
     def __init__(self, radius_km: float):
         self.radius_km = radius_km
 
-    def logpdf(self, points) -> np.ndarray:
-        distance = np.asarray(points, dtype=float).reshape(-1, 2)[:, 0]
+    def logpdf(self, distance, orientation) -> np.ndarray:
         return np.where(distance <= self.radius_km, 0.0, -np.inf)
 
 
@@ -314,8 +313,7 @@ class SouthwestStub:
     def __init__(self, slope: float, offset: float):
         self.slope, self.offset = slope, offset
 
-    def logpdf(self, points) -> np.ndarray:
-        distance, orientation = np.asarray(points, dtype=float).reshape(-1, 2).T
+    def logpdf(self, distance, orientation) -> np.ndarray:
         radians = np.radians(orientation)
         return -self.slope * distance * (np.cos(radians) + np.sin(radians)) - self.offset
 
