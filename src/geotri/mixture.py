@@ -18,8 +18,11 @@ improvement there, far below ``ACCEPT_TOL`` relative, while real structure
 buys orders of magnitude more. EM and partial EM stop when an iteration
 gains at most ``EM_TOL`` relative, or after ``EM_MAX_ITER`` iterations.
 
-A round's candidates are tuned in lockstep as (candidates, points) arrays;
-each stops on its own gain, as it would alone, and then leaves the arrays.
+A round's candidates race (successive halving, Jamieson & Talwalkar, AISTATS
+2016): all are tuned in lockstep as (candidates, points) arrays for
+``RACE_WARMUP`` iterations, then only the ``RACE_SURVIVORS`` best by mixed
+log-likelihood go on; each stops on its own gain, as it would alone, and then
+leaves the arrays.
 Every density is one form: ``_density_terms`` builds it (a model once, on
 first use; EM and refinement per iteration) and ``_log_joint`` evaluates it,
 with ``GmmModel.logpdf(distance, orientation)`` its log-sum-exp.
@@ -48,6 +51,8 @@ __all__ = [
     "GmmModel",
     "InsufficientDataError",
     "InvalidParameterError",
+    "RACE_SURVIVORS",
+    "RACE_WARMUP",
     "TrainingConfig",
     "VARIANCE_FLOOR",
     "derive_seed",
@@ -62,6 +67,8 @@ EM_TOL = 1e-6
 EM_MAX_ITER = 200
 ACCEPT_TOL = 1e-2
 CANDIDATES_PER_COMPONENT = 10
+RACE_WARMUP = 20
+RACE_SURVIVORS = 2
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -344,7 +351,7 @@ def generate_candidates(data, model: GmmModel, rng: np.random.Generator) -> list
 def _refine_candidates(
     x: np.ndarray, base_logpdf: np.ndarray, candidates: list[GaussianComponent]
 ) -> tuple[int, GaussianComponent, float]:
-    """Partial EM on all of a round's candidates at once, the current mixture frozen.
+    """Partial EM on a round's candidates in lockstep, the current mixture frozen, as a race.
 
     Candidate k tunes its weight a, mean and covariance against the mixed
     density (1 - a) p + a g_k, where log p = ``base_logpdf``. With
@@ -353,9 +360,11 @@ def _refine_candidates(
     sum(log p) + n log(1 - a) + sum(softplus(d)). Each candidate stops as it
     would alone: when its gain falls to ``EM_TOL`` relative (keeping that
     update) or its total responsibility drops below 1e-10 (keeping the one
-    before); it then leaves the live arrays. Returns the index, component and
-    mixed log-likelihood of the first maximum: a tie goes to the earlier
-    candidate and a NaN never wins.
+    before); it then leaves the live arrays. After ``RACE_WARMUP`` iterations
+    only the ``RACE_SURVIVORS`` best by latest mixed log-likelihood, stopped
+    ones included, go on (a tie goes to the earlier candidate, a NaN ranks
+    last). Returns the index, component and mixed log-likelihood of the
+    first maximum among the survivors; a NaN never wins.
     """
     n = x.shape[0]
     base_total = float(base_logpdf.sum())
@@ -377,20 +386,26 @@ def _refine_candidates(
 
     resp, loglik = mix(weights, means, covs, x[:, 0] - means[:, :1], x[:, 1] - means[:, 1:])
     mixed = loglik.copy()
-    live = np.arange(len(candidates))
-    for _ in range(EM_MAX_ITER):
+    live = survivors = np.arange(len(candidates))
+    for step in range(EM_MAX_ITER):
+        if step == RACE_WARMUP:
+            # A stable sort of -mixed ranks ties by index and puts NaN last. A NaN
+            # that still ranks this high has stopped, and nanargmax skips it.
+            survivors = np.sort(np.argsort(-mixed, kind="stable")[:RACE_SURVIVORS])
+            keep = np.isin(live, survivors)
+            live, resp, loglik = live[keep], resp[keep], loglik[keep]
         totals = resp.sum(axis=1)
         keep = totals >= 1e-10
         live, resp, totals, loglik = live[keep], resp[keep], totals[keep], loglik[keep]
+        if live.size == 0:
+            break
         step_weights = np.clip(totals / n, 1e-10, 1.0 - 1e-10)
         step_means, step_covs, dx, dy = _m_step(resp, x, totals)
         resp, updated = mix(step_weights, step_means, step_covs, dx, dy)
         weights[live], means[live], covs[live], mixed[live] = step_weights, step_means, step_covs, updated
         keep = updated - loglik > EM_TOL * np.maximum(1.0, np.abs(updated))
         live, resp, loglik = live[keep], resp[keep], updated[keep]
-        if live.size == 0:
-            break
-    best = int(np.nanargmax(mixed))
+    best = int(survivors[np.nanargmax(mixed[survivors])])
     return best, GaussianComponent(float(weights[best]), means[best], covs[best]), float(mixed[best])
 
 
@@ -405,9 +420,9 @@ def _insert_component(model: GmmModel, candidate: GaussianComponent) -> GmmModel
 def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
     """Grow a mixture one component at a time while the fit improves.
 
-    Starts from the EM-converged single-component model. Each round tunes
-    every candidate with partial EM (current components frozen, candidate
-    weight starting at 1/2), inserts the one with the best mixed
+    Starts from the EM-converged single-component model. Each round races
+    the candidates through partial EM (current components frozen, candidate
+    weight starting at 1/2), inserts the surviving one with the best mixed
     log-likelihood (the first on a tie), refits with full EM, and accepts
     the grown model only when it clears ``ACCEPT_TOL`` relative
     improvement; otherwise the previous model is returned. Identical data, config, and seed reproduce

@@ -591,15 +591,16 @@ def test_fuse_writes_estimate_and_surface(models_dir, fixtures_dir, tmp_path, ca
 
 
 # sha256 of the estimate .tsv and .geojson that `geotri fuse` writes for the demo
-# scenario with the fixture-trained models, recorded before fusion was blocked by vertex.
+# scenario with the fixture-trained models, recorded before fusion was blocked by
+# vertex and again when the candidate race changed the trained "at" and "north of".
 FUSE_DIGESTS = {
     "product": (
-        "6bca9faa8bc3d76346cacbca52b94fef59bd4b037be8ab55e566c1b53a3e1d99",
-        "5258c5983684fcec78d319d76ca800d77202471e5e9f1bcf7d5ac18b7e9ac925",
+        "8ed03cb54c189a23b06afcfed7560b66387ea2e65e80b00daf729874eed1d593",
+        "80d53b27fff75f9aea347b4d6e93369607320bb2037b21c7acffe147f2956e9c",
     ),
     "sum": (
-        "505fd3b09f732ee8873f80dcdb5b4d37a91aa9e1adbeec40651b805f569ba0cf",
-        "97cd06ff624afd0e08dda2b3bf641cf158b50dbb30c28cd9e619833b92040a07",
+        "dc122bb1549d9d97eaf16da11896b25ef4c2013ed6bd95bb52fbd3b899f4da21",
+        "3dcd02f9dbe9292a37d657d8b664d4694b09d288390f849bcc48465cded6a21a",
     ),
 }
 

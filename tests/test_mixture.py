@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geotri import mixture
 from geotri.mixture import (
     ACCEPT_TOL,
     CANDIDATES_PER_COMPONENT,
@@ -23,6 +24,8 @@ from geotri.mixture import (
     GmmModel,
     InsufficientDataError,
     InvalidParameterError,
+    RACE_SURVIVORS,
+    RACE_WARMUP,
     TrainingConfig,
     _floor_covariance,
     _insert_component,
@@ -364,9 +367,10 @@ def test_em_monotone_for_random_seeds(seed):
 
 # Greedy fits pinned at max_components=5: the four synthetic city labels at
 # n=500 (seed 0) and a five-lobe truth at n=1000. Values were captured from
-# the per-candidate refinement with Cholesky densities and eigh floors; rows
-# are (weight, mean distance, mean orientation, var distance, covariance,
-# var orientation).
+# the per-candidate refinement with Cholesky densities and eigh floors, and
+# "north of" again once candidates raced (same two components, at most
+# 5.3e-4 relative from before); rows are (weight, mean distance, mean
+# orientation, var distance, covariance, var orientation).
 FIVE_LOBES = GmmModel(
     "five lobes",
     tuple(
@@ -390,8 +394,8 @@ GOLDEN = {
         (0.462472405893339, 3.2075307509913245, 179.1508783473707, 0.23257359493146051, 3.985920752975362, 8216.572686584259),
     ),
     'north of': (
-        (0.48588525307802743, 11.724674375107558, 88.95626627124062, 7.164259035833049, 6.675285662109227, 362.09074742932523),
-        (0.5141147469219726, 6.044339006041934, 90.57427612651993, 2.3278465632211196, -0.3158935346826746, 263.4486232109613),
+        (0.48587068253787147, 11.72479810891692, 88.95636045777205, 7.163888164023404, 6.675062768164257, 362.0918625503966),
+        (0.5141293174621285, 6.044383055123391, 90.57414126210058, 2.327920094501424, -0.3160616419324012, 263.4507271252837),
     ),
     'west of': (
         (0.7336639928988005, 9.813540194307059, 180.70930949148823, 14.483080273891817, -0.3979840240331385, 207.30274635531413),
@@ -505,14 +509,14 @@ def eigh_floor(cov):
     return (floored + floored.T) / 2.0
 
 
-def refine_one(x, base_logpdf, candidate):
-    # The per-candidate partial-EM loop that lockstep refinement replaced.
+def refine_one(x, base_logpdf, candidate, iterations=EM_MAX_ITER):
+    # The per-candidate partial-EM loop that lockstep refinement replaced, cut after ``iterations``.
     n = x.shape[0]
     alpha, mean, cov = candidate.weight, candidate.mean, candidate.covariance
     cand = cholesky_logpdf(x, mean, cov)
     log_mix = np.logaddexp(math.log1p(-alpha) + base_logpdf, math.log(alpha) + cand)
     loglik = float(log_mix.sum())
-    for _ in range(EM_MAX_ITER):
+    for _ in range(iterations):
         resp = np.exp(math.log(alpha) + cand - log_mix)
         total = resp.sum()
         if total < 1e-10:
@@ -532,9 +536,14 @@ def refine_one(x, base_logpdf, candidate):
 
 
 def refine_per_candidate(x, base_logpdf, candidates):
+    # The race run one candidate at a time: each alone for RACE_WARMUP iterations, then the
+    # RACE_SURVIVORS best (stable sort, so ties go to the earlier; NaN dropped) alone to their
+    # own stop. The loop is deterministic, so a survivor rerun from the start continues its warm-up.
+    warm = [refine_one(x, base_logpdf, candidate, RACE_WARMUP)[1] for candidate in candidates]
+    ranked = sorted((i for i, score in enumerate(warm) if not math.isnan(score)), key=lambda i: -warm[i])
     best, best_refined, best_mixed = None, None, -np.inf
-    for index, candidate in enumerate(candidates):
-        refined, mixed = refine_one(x, base_logpdf, candidate)
+    for index in sorted(ranked[:RACE_SURVIVORS]):
+        refined, mixed = refine_one(x, base_logpdf, candidates[index])
         if mixed > best_mixed:
             best, best_refined, best_mixed = index, refined, mixed
     return best, best_refined, best_mixed
@@ -570,6 +579,22 @@ def test_every_round_selects_the_per_candidate_winner(label):
     assert np.array_equal(component_rows(current), component_rows(greedy_train(x, label, cfg)))
 
 
+@pytest.mark.parametrize("truth, seed", [("five lobes", 1), ("five lobes", 8), ("unimodal", 1)])
+def test_race_cuts_where_the_per_candidate_race_cuts(truth, seed):
+    # In these rounds a cut one iteration earlier or later picks another winner.
+    if truth == "unimodal":
+        x = single_data(200, 1.0, seed)
+    else:
+        x = sample_mixture(FIVE_LOBES, 300, np.random.default_rng(seed))
+    model = em_fit(x, GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),)))
+    base = model.logpdf(*x.T)
+    candidates = generate_candidates(x, model, np.random.default_rng(seed + 100))
+    index, _, mixed = _refine_candidates(x, base, candidates)
+    ref_index, _, ref_mixed = refine_per_candidate(x, base, candidates)
+    assert index == ref_index
+    assert mixed == pytest.approx(ref_mixed, rel=1e-12)
+
+
 def test_refinement_tie_goes_to_the_first_candidate():
     x = pair_data(100, 1.0, seed=5)
     model = GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),))
@@ -586,6 +611,110 @@ def test_refinement_tie_goes_to_the_first_candidate():
         assert refined.weight == alone[id(order[index])][0].weight
         assert np.array_equal(refined.mean, alone[id(order[index])][0].mean)
         assert np.array_equal(refined.covariance, alone[id(order[index])][0].covariance)
+
+
+# Far from every point of ``unimodal_round``, its total responsibility is about
+# 1e-302 from the start, and its tiny weight costs it only 2e-10 nats.
+FAR = GaussianComponent(1e-12, (1e3, 45.0), np.eye(2))
+
+
+def unimodal_round():
+    """A unimodal sample, its one-component fit's log density and ten candidates.
+
+    Alone, candidates 0, 2 and 3 refine past the warm-up to about 7.56 nats
+    above the base, 1 to 9.69, and 6 and 8 past the warm-up to 2-3e-3 nats
+    below it.
+    """
+    x = single_data(200, 1.0, seed=0)
+    model = em_fit(x, GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),)))
+    base = model.logpdf(*x.T)
+    return x, base, generate_candidates(x, model, np.random.default_rng(1))
+
+
+def early_stopper(kind, x, base, candidates):
+    """A candidate that leaves the race before the warm-up ends with the round's best score."""
+    if kind == "gain":
+        # Candidate 1 refined alone: its first update gains nothing.
+        return _refine_candidates(x, base, [candidates[1]])[1], [candidates[i] for i in (0, 2, 3)]
+    return FAR, [candidates[i] for i in (6, 8)]
+
+
+@pytest.mark.parametrize("kind", ["gain", "responsibility"])
+def test_candidate_stopped_before_the_warm_up_keeps_its_rank(kind):
+    x, base, candidates = unimodal_round()
+    stopper, runners = early_stopper(kind, x, base, candidates)
+    stop_after = 1 if kind == "gain" else 0
+    assert refine_one(x, base, stopper, stop_after)[1] == refine_one(x, base, stopper)[1]
+    for runner in runners:
+        assert refine_one(x, base, runner, RACE_WARMUP)[1] != refine_one(x, base, runner)[1]
+    alone = _refine_candidates(x, base, [stopper])
+    assert len(runners) + 1 > RACE_SURVIVORS
+    for order in (runners + [stopper], [stopper] + runners):
+        index, refined, mixed = _refine_candidates(x, base, order)
+        assert order[index] is stopper
+        assert mixed == alone[2]
+        assert np.array_equal(component_rows(GmmModel("r", (refined,))), component_rows(GmmModel("r", (alone[1],))))
+
+
+def test_race_ranking_tie_goes_to_the_earlier_candidate():
+    x, base, candidates = unimodal_round()
+    best, worse = candidates[1], candidates[5]
+    # The tied copies of the best fill more places than survive: the earliest ones survive.
+    for order in ([worse] + [best] * (RACE_SURVIVORS + 1), [best] * (RACE_SURVIVORS + 2), [worse, best, worse, best, best]):
+        first = next(i for i, candidate in enumerate(order) if candidate is best)
+        assert _refine_candidates(x, base, order)[0] == first
+        assert refine_per_candidate(x, base, order)[0] == first
+
+
+def test_nan_candidate_never_displaces_a_survivor():
+    x, base, candidates = unimodal_round()
+    # A covariance whose determinant is subnormal: -1/(2 det) overflows, and at the
+    # data point it is centred on the density is -inf * 0, a NaN.
+    spike = GaussianComponent(0.5, x[0], np.eye(2) * 1e-160)
+    alone = _refine_candidates(x, base, [candidates[1]])
+    with np.errstate(all="ignore"):
+        for order in ([spike] * RACE_SURVIVORS + [candidates[1]], [spike, candidates[1]] + [spike] * RACE_SURVIVORS):
+            index, refined, mixed = _refine_candidates(x, base, order)
+            assert order[index] is candidates[1]
+            assert mixed == alone[2]
+        with pytest.raises(ValueError, match="All-NaN"):
+            _refine_candidates(x, base, [spike] * (RACE_SURVIVORS + 1))
+
+
+@pytest.mark.parametrize("case", ["one", "as many as survive", "as many as survive, best last", "all stop early"])
+def test_round_the_race_cannot_cut_is_bitwise_the_pre_race_result(monkeypatch, case):
+    x, base, candidates = unimodal_round()
+    # Refined alone already, these stop after one iteration; FAR stops before any.
+    converged = [_refine_candidates(x, base, [candidates[i]])[1] for i in (5, 0, 1, 6)]
+    order = {
+        "one": candidates[3:4],
+        "as many as survive": candidates[:RACE_SURVIVORS],
+        "as many as survive, best last": [candidates[5], candidates[1]][-RACE_SURVIVORS:],
+        "all stop early": converged + [FAR],
+    }[case]
+    raced = _refine_candidates(x, base, order)
+    # Before the race, every candidate refined to its own stop: a warm-up that never ends.
+    monkeypatch.setattr(mixture, "RACE_WARMUP", EM_MAX_ITER)
+    pre_race = _refine_candidates(x, base, order)
+    assert raced[0] == pre_race[0] and raced[2] == pre_race[2]
+    assert np.array_equal(component_rows(GmmModel("r", (raced[1],))), component_rows(GmmModel("r", (pre_race[1],))))
+
+
+# Seeds on which a harsher cut of the candidate search loses a component:
+# a 10-iteration warm-up (city seed 158, "north of"), a 3-iteration one (72,
+# "near"), 5 survivors after 5 iterations (72), 5 or 3 candidates per
+# component (3, "at") and 2 (five-lobe seeds 3 and 5).
+@pytest.mark.parametrize("seed", [3, 5])
+def test_race_keeps_all_five_lobes(seed):
+    x = sample_mixture(FIVE_LOBES, 1000, np.random.default_rng(seed))
+    assert greedy_train(x, "five lobes", TrainingConfig(max_components=5, seed=seed)).component_count == 5
+
+
+@pytest.mark.parametrize("seed", [3, 72, 158])
+def test_race_keeps_both_components_of_every_city_label(seed):
+    for label, x in sample_training_data(2000, seed=seed).items():
+        model = greedy_train(x, label, TrainingConfig(max_components=5, seed=derive_seed(seed, label)))
+        assert model.component_count == 2, label
 
 
 def floor_cases() -> list[np.ndarray]:
