@@ -579,6 +579,12 @@ def test_every_round_selects_the_per_candidate_winner(label):
     assert np.array_equal(component_rows(current), component_rows(greedy_train(x, label, cfg)))
 
 
+def first_round(x, candidate_seed):
+    """The one-component fit's log density at ``x`` and the candidates it proposes."""
+    model = em_fit(x, GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),)))
+    return model.logpdf(*x.T), generate_candidates(x, model, np.random.default_rng(candidate_seed))
+
+
 @pytest.mark.parametrize("truth, seed", [("five lobes", 1), ("five lobes", 8), ("unimodal", 1)])
 def test_race_cuts_where_the_per_candidate_race_cuts(truth, seed):
     # In these rounds a cut one iteration earlier or later picks another winner.
@@ -586,9 +592,7 @@ def test_race_cuts_where_the_per_candidate_race_cuts(truth, seed):
         x = single_data(200, 1.0, seed)
     else:
         x = sample_mixture(FIVE_LOBES, 300, np.random.default_rng(seed))
-    model = em_fit(x, GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),)))
-    base = model.logpdf(*x.T)
-    candidates = generate_candidates(x, model, np.random.default_rng(seed + 100))
+    base, candidates = first_round(x, seed + 100)
     index, _, mixed = _refine_candidates(x, base, candidates)
     ref_index, _, ref_mixed = refine_per_candidate(x, base, candidates)
     assert index == ref_index
@@ -626,24 +630,18 @@ def unimodal_round():
     below it.
     """
     x = single_data(200, 1.0, seed=0)
-    model = em_fit(x, GmmModel("r", (GaussianComponent(1.0, x.mean(axis=0), np.cov(x.T, ddof=0)),)))
-    base = model.logpdf(*x.T)
-    return x, base, generate_candidates(x, model, np.random.default_rng(1))
-
-
-def early_stopper(kind, x, base, candidates):
-    """A candidate that leaves the race before the warm-up ends with the round's best score."""
-    if kind == "gain":
-        # Candidate 1 refined alone: its first update gains nothing.
-        return _refine_candidates(x, base, [candidates[1]])[1], [candidates[i] for i in (0, 2, 3)]
-    return FAR, [candidates[i] for i in (6, 8)]
+    return x, *first_round(x, 1)
 
 
 @pytest.mark.parametrize("kind", ["gain", "responsibility"])
 def test_candidate_stopped_before_the_warm_up_keeps_its_rank(kind):
+    # The stopper leaves the race before the warm-up ends, with the round's best score.
     x, base, candidates = unimodal_round()
-    stopper, runners = early_stopper(kind, x, base, candidates)
-    stop_after = 1 if kind == "gain" else 0
+    if kind == "gain":
+        # Candidate 1 refined alone: its first update gains nothing.
+        stopper, stop_after, runners = _refine_candidates(x, base, [candidates[1]])[1], 1, [candidates[i] for i in (0, 2, 3)]
+    else:
+        stopper, stop_after, runners = FAR, 0, [candidates[6], candidates[8]]
     assert refine_one(x, base, stopper, stop_after)[1] == refine_one(x, base, stopper)[1]
     for runner in runners:
         assert refine_one(x, base, runner, RACE_WARMUP)[1] != refine_one(x, base, runner)[1]
