@@ -23,23 +23,32 @@ def write_text(path, text: str) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text with every line end as ``\\n``; bad bytes fail as ``path:line``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start] + b"?").splitlines())  # bytes.splitlines ends lines at \r\n, \r, \n too
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def read_tsv(path, parse) -> list:
-    """``parse(fields)`` for every row of a TSV file, in file order.
+    """``parse(fields)`` for every row of a TSV file read by ``read_text``, in file order.
 
     Blank lines and lines whose first non-space character is ``#`` are
-    comments. Other lines are split on tabs after removing only the
-    newline. A ValueError from ``parse`` is re-raised as ``path:line: message``.
+    comments. Other lines are split on tabs. A ValueError from ``parse`` is
+    re-raised as ``path:line: message``.
     """
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            head = line.lstrip()
-            if not head or head[0] == "#":
-                continue
-            try:
-                rows.append(parse(line.rstrip("\n").split("\t")))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        try:
+            rows.append(parse(line.split("\t")))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

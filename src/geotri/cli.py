@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_text, write_tsv
+from .atomic import read_text, write_text, write_tsv
 from .extract import extract_triplets, load_patterns, read_triplets_tsv, write_triplets_tsv
 from .features import (
     build_training_sets,
@@ -77,10 +77,8 @@ def save_model(model: GmmModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> GmmModel:
     """Parse and validate a model file written by ``save_model``."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:
@@ -162,8 +160,7 @@ def _cmd_geocode(args) -> None:
 def _cmd_extract(args) -> None:
     gaz = load_gazetteer(args.gazetteer)
     patterns = load_patterns(args.patterns)
-    with open(args.corpus, encoding="utf-8") as handle:
-        corpus = [line.strip() for line in handle if line.strip()]
+    corpus = [line.strip() for line in read_text(args.corpus).split("\n") if line.strip()]
     triplets = extract_triplets(corpus, gaz, patterns)
     write_triplets_tsv(triplets, args.out)
     _summary(

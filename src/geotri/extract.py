@@ -148,6 +148,8 @@ class Triplet:
     object: Poi
 
     def __post_init__(self) -> None:
+        if not self.relation:
+            raise ValueError("relation label must be non-empty")
         if self.subject.name == self.object.name:
             raise ValueError("subject and object must differ")
 
@@ -232,11 +234,9 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
         while stop < i + gaz.max_words and keys[stop] is not None:
             stop += 1
         for end in range(stop, i, -1):
-            positions = gaz.name_index.get(" ".join(keys[i:end]))
-            if positions is not None:
-                entry = gaz.entries[positions[0]]
-                poi = Poi(entry.name, entry.lat, entry.lon)
-                spans.append(EntitySpan(i, end, poi))
+            entry = gaz.name_index.get(" ".join(keys[i:end]))
+            if entry is not None:
+                spans.append(EntitySpan(i, end, Poi(entry.name, entry.lat, entry.lon)))
                 i = end
                 break
         else:

@@ -13,6 +13,7 @@ degrees and north at 90. Coincident points take orientation 0 by convention.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,12 +143,14 @@ def build_training_sets(triplets, origin: ProjectionOrigin) -> dict[str, Trainin
 def label_filenames(labels) -> dict[str, str]:
     """Training-set file name per label: spaces become underscores, plus ``.tsv``.
 
-    Raises ValueError when two labels map to one name (``north of`` and
-    ``north_of``), since one file would silently replace the other.
+    Raises ValueError for an empty label or a name with a directory part,
+    and when two labels map to one name (``north of``, ``north_of``).
     """
     names = {label: label.replace(" ", "_") + ".tsv" for label in labels}
     owners: dict[str, str] = {}
     for label, name in names.items():
+        if not label or os.path.basename(name) != name:
+            raise ValueError(f"label {label!r} does not name a file inside the output directory")
         if owners.setdefault(name, label) != label:
             raise ValueError(f"labels {owners[name]!r} and {label!r} both map to {name}")
     return names

@@ -75,25 +75,20 @@ class GazetteerEntry:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """Entries plus an index from normalized name to entry positions.
+    """Entries plus an index from each normalized name to its exact-match winner.
 
-    Each ``name_index`` list starts with its key's exact-match winner (the
-    smallest canonical name, the earliest listed among equal names), and
-    ``max_words`` is the longest indexed name's word count; both are settled
-    at construction. Instances are then immutable and thread-shareable; the
+    ``max_words`` is the longest indexed name's word count, settled at
+    construction. Instances are then immutable and thread-shareable; the
     ``fuzzy_index`` is derived on first use, and a race only builds it twice.
     """
 
     entries: list[GazetteerEntry]
-    name_index: dict[str, list[int]]
+    name_index: dict[str, GazetteerEntry]
     skipped_rows: int = 0
     max_words: int = field(init=False)
     _fuzzy_index: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for positions in self.name_index.values():
-            if len(positions) > 1:
-                positions.sort(key=lambda pos: self.entries[pos].name)
         words = max((key.count(" ") + 1 for key in self.name_index), default=0)
         object.__setattr__(self, "max_words", words)
         object.__setattr__(self, "_fuzzy_index", None)
@@ -120,12 +115,13 @@ def normalize_name(name: str) -> str:
 
 
 def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gazetteer:
-    index: dict[str, list[int]] = {}
-    for pos, entry in enumerate(entries):
+    """Index each normalized name (first-seen order) to its winner: smallest canonical name, first listed."""
+    index: dict[str, GazetteerEntry] = {}
+    for entry in entries:
         for name in (entry.name, *entry.alt_names):
             key = normalize_name(name)
-            if key:
-                index.setdefault(key, []).append(pos)
+            if key and entry.name < index.setdefault(key, entry).name:
+                index[key] = entry
     return Gazetteer(entries=entries, name_index=index, skipped_rows=skipped_rows)
 
 
@@ -245,11 +241,8 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
     query = normalize_name(name)
     if not query:
         return None
-    best: tuple[int, str, int, GazetteerEntry] | None = None
-    exact = gaz.name_index.get(query)
-    if exact is not None:
-        best = (0, "", 0, gaz.entries[exact[0]])
-    elif max_edit > 0:
+    entry = gaz.name_index.get(query)
+    if entry is None and max_edit > 0:
         keys, lengths, hists = gaz.fuzzy_index
         # Code points each key can share with the query, one bucket at a time:
         # only the query's own buckets count.
@@ -261,10 +254,9 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
         lows = np.maximum(lengths, len(query)) - shared
         rows = np.flatnonzero(lows <= max_edit)
         rows = rows[np.argsort(lows[rows], kind="stable")]
-        # Only each key's winner is scored: its other positions are no closer.
         # The limit shrinks to the best distance so far; names at exactly that
         # distance are still scored, for the tie-break on name and key order.
-        limit = max_edit
+        limit, best = max_edit, None
         for row, low in zip(rows.tolist(), lows[rows].tolist()):
             if low > limit:
                 break
@@ -272,10 +264,7 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
             if dist > limit:
                 continue
             limit = dist
-            entry = gaz.entries[gaz.name_index[keys[row]][0]]
-            if best is None or (dist, entry.name, row) < best[:3]:
-                best = (dist, entry.name, row, entry)
-    if best is None:
-        return None
-    entry = best[3]
-    return Poi(name=entry.name, lat=entry.lat, lon=entry.lon)
+            match = gaz.name_index[keys[row]]
+            if best is None or (dist, match.name, row) < best:
+                best, entry = (dist, match.name, row), match
+    return None if entry is None else Poi(entry.name, entry.lat, entry.lon)

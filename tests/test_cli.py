@@ -215,6 +215,17 @@ def test_features_rejects_colliding_label_filenames(tmp_path, capsys):
     assert not list(out_dir.glob("*"))
 
 
+@pytest.mark.parametrize("label", ["../escaped", "sub/dir"])
+def test_features_rejects_label_that_leaves_the_output_directory(tmp_path, capsys, label):
+    # "../escaped" used to write escaped.tsv beside the output directory.
+    triplets = tmp_path / "triplets.tsv"
+    triplets.write_text(f"Site\t{label}\tOld Market\t40.08\t116.09\t40.09\t116.12\n", encoding="utf-8")
+    out_dir = tmp_path / "out" / "features"
+    assert run(["features", "--triplets", str(triplets), "--out-dir", str(out_dir)]) == 1
+    assert f"label {label!r} does not name a file inside the output directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_features_reports_bad_triplet_row_with_path_and_line(tmp_path, capsys):
     triplets = tmp_path / "triplets.tsv"
     triplets.write_text("# subject\trelation\tobject\nA\tnear\tB\tabc\t116.1\t40.2\t116.2\n", encoding="utf-8")
@@ -357,6 +368,28 @@ def test_truncated_model_file_reports_line(tmp_path):
     path.write_text('{\n  "relation": "near",\n', encoding="utf-8")
     with pytest.raises(ModelFileError, match="bad.model:3"):
         load_model(path)
+
+
+def test_input_that_is_not_utf8_fails_with_its_path_and_line(fixtures_dir, models_dir, tmp_path, capsys):
+    # Each error used to read "'utf-8' codec can't decode byte 0xe9 ..." with no file named.
+    gazetteer = tmp_path / "gazetteer.tsv"
+    gazetteer.write_bytes(b"Boston\t\t42.36\t-71.06\nBogot\xe9\t\t4.71\t-74.07\n")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"Boston is near Cambridge.\n\nCaf\xe9 Boston.\n")
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "near.model").write_bytes((models_dir / "near.model").read_bytes().replace(b'"near"', b'"n\xe9ar"'))
+    commands = [
+        (["geocode", "--gazetteer", str(gazetteer), "--name", "Boston"], f"{gazetteer}:2"),
+        (["extract", "--corpus", str(corpus), "--gazetteer", str(fixtures_dir / "gazetteer.tsv"),
+          "--patterns", str(fixtures_dir / "patterns.tsv"), "--out", str(tmp_path / "t.tsv")], f"{corpus}:3"),
+        (["predict", "--models", str(models), "--bbox", "40.0,116.0,40.18,116.235", "--point", "40.09,116.12"],
+         f"{models / 'near.model'}:2"),
+    ]
+    for argv, where in commands:
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"geotri {argv[0]}: {where}: not UTF-8 text: invalid")
+    assert not (tmp_path / "t.tsv").exists()
 
 
 def test_invalid_model_payload_rejected(tmp_path):

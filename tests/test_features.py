@@ -16,6 +16,7 @@ from geotri.features import (
     build_training_sets,
     feature_components,
     feature_vector,
+    label_filenames,
     load_feature_array,
     origin_for_points,
     project,
@@ -265,6 +266,13 @@ def test_fixture_triplet_file_label_counts(fixtures_dir):
     sizes = {label: len(s.vectors) for label, s in sets.items()}
     assert sizes == {"near": 40, "at": 25, "north of": 20, "west of": 15}
     assert sum(sizes.values()) == 100
+
+
+@pytest.mark.parametrize("label", ["", "../escaped", "sub/dir", "/"])
+def test_label_filenames_reject_a_label_that_is_no_plain_file_name(label):
+    # "" used to write a hidden ".tsv", and "../escaped" a file outside the output directory.
+    with pytest.raises(ValueError, match=f"label {label!r} does not name a file"):
+        label_filenames(["near", label])
 
 
 def test_training_set_round_trip(tmp_path):

@@ -113,16 +113,18 @@ def test_normalize_matches_the_two_pass_definition(name):
     assert normalize_name(name) == expected
 
 
-def test_name_index_lists_start_with_the_exact_winner():
+def test_name_index_holds_the_exact_winner():
     entries = [
         GazetteerEntry("Zeta", ("X",), 1.0, 1.0),
         GazetteerEntry("Alpha", ("x.",), 2.0, 2.0),
         GazetteerEntry("Alpha", ("-x",), 3.0, 3.0),
     ]
-    assert build_gazetteer(entries).name_index["x"] == [1, 2, 0]
-    # A hand-built index is ordered the same way at construction.
-    assert Gazetteer(entries, {"x": [0, 1, 2]}).name_index["x"] == [1, 2, 0]
-    assert geocode("X", build_gazetteer(entries), max_edit=0) == Poi("Alpha", 2.0, 2.0)
+    gaz = build_gazetteer(entries)
+    # Keys keep their first appearance; each holds the smallest canonical
+    # name, the earliest listed among equal names.
+    assert list(gaz.name_index) == ["zeta", "x", "alpha"]
+    assert [gaz.name_index[key] for key in ("zeta", "x", "alpha")] == [entries[0], entries[1], entries[1]]
+    assert geocode("X", gaz, max_edit=0) == Poi("Alpha", 2.0, 2.0)
 
 
 def test_poi_rejects_out_of_range_coordinates():
@@ -232,18 +234,21 @@ def test_geocode_query_without_letters_matches_nothing():
 
 
 def brute_force_geocode(name: str, gaz: Gazetteer, max_edit: int) -> Poi | None:
-    # Full scan with the oracle distance: minimum (distance, canonical name),
-    # the first such entry in index order.
+    # Full scan of every entry's names with the oracle distance: minimum
+    # (distance, canonical name), then the normalized name that appears first
+    # in the entries, then the earliest listed entry.
     query = normalize_name(name)
-    hits = [
-        (edit_matrix(query, variant), gaz.entries[pos].name, gaz.entries[pos])
-        for variant, positions in gaz.name_index.items()
-        for pos in positions
-    ]
+    first_seen: dict[str, int] = {}
+    hits = []
+    for pos, entry in enumerate(gaz.entries):
+        for variant in map(normalize_name, (entry.name, *entry.alt_names)):
+            if variant:
+                order = first_seen.setdefault(variant, len(first_seen))
+                hits.append((edit_matrix(query, variant), entry.name, order, pos, entry))
     hits = [hit for hit in hits if hit[0] <= max_edit]
     if not query or not hits:
         return None
-    entry = min(hits, key=lambda hit: hit[:2])[2]
+    entry = min(hits, key=lambda hit: hit[:4])[4]
     return Poi(entry.name, entry.lat, entry.lon)
 
 
@@ -336,8 +341,8 @@ def test_fixture_every_canonical_name_resolves(gazetteer):
         assert poi.name == entry.name
 
 
-def test_fixture_index_positions_valid(gazetteer):
-    for key, indices in gazetteer.name_index.items():
+def test_fixture_index_maps_each_name_to_its_winner(gazetteer):
+    for key, entry in gazetteer.name_index.items():
         assert key == normalize_name(key)
-        for index in indices:
-            assert 0 <= index < len(gazetteer.entries)
+        owners = [e for e in gazetteer.entries if key in map(normalize_name, (e.name, *e.alt_names))]
+        assert entry is min(owners, key=lambda owner: owner.name)

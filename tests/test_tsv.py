@@ -1,6 +1,7 @@
 """The shared TSV line rules: comments, path:line errors, and writer round trips."""
 
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -46,12 +47,32 @@ def test_every_loader_skips_comments_and_reports_bad_value_with_line(tmp_path, k
     load(str(path))
 
 
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_loader_reports_bytes_that_are_not_utf8_with_path_and_line(tmp_path, kind):
+    load, _, good, rest = LOADERS[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_bytes(f"{rest}{good}\n".encode() + b"# Bogot\xe9\n")
+    lineno = rest.count("\n") + 2
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: not UTF-8 text"):
+        load(str(path))
+
+
+def test_read_tsv_reads_crlf_and_cr_line_ends_as_newlines(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"a\tb\r\n\r\n# c\rd\te\r")
+    assert read_tsv(path, list) == [["a", "b"], ["d", "e"]]
+    path.write_bytes(b"a\r\nb\rc\xff\n")
+    with pytest.raises(ValueError, match=r"rows\.tsv:3: not UTF-8 text"):
+        read_tsv(path, list)
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
         ("A\tnear\tB\t100.0\t116.1\t40.2\t116.2", "coordinates out of range"),
         ("A\tnear\tA\t40.1\t116.1\t40.2\t116.2", "subject and object must differ"),
         ("A\tnear\tB\t40.1\t116.1\t40.2", "expected 7 columns, got 6"),
+        ("A\t\tB\t40.1\t116.1\t40.2\t116.2", "relation label must be non-empty"),
     ],
 )
 def test_triplet_row_checks_report_path_and_line(tmp_path, row, message):
