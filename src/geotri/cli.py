@@ -37,7 +37,7 @@ from .mixture import (
     gmm_log_likelihood,
     greedy_train,
 )
-from .predict import make_grid, prediction_accuracy, score_point, surface_to_csv, surface_to_geojson
+from .predict import make_grid, prediction_accuracy, score_point, surface_texts, surface_to_geojson
 
 __all__ = ["ModelFileError", "load_model", "load_models_dir", "main", "run", "save_model"]
 
@@ -210,10 +210,6 @@ def _cmd_train(args) -> None:
     )
 
 
-def _write_geojson(path: str, grid, region_likelihoods) -> None:
-    write_text(path, surface_to_geojson(grid, region_likelihoods) + "\n")
-
-
 def _cmd_predict(args) -> None:
     point_mode = args.point is not None
     unused = {"--points": args.points, "--topk": args.topk, "--seed": args.seed}
@@ -233,8 +229,9 @@ def _cmd_predict(args) -> None:
         grid = make_grid(bbox, args.grid_dim)
         surface = score_point(point, grid, models)
         if args.surface_out:
-            write_text(args.surface_out + ".csv", surface_to_csv(grid, surface.region_likelihoods))
-            _write_geojson(args.surface_out + ".geojson", grid, surface.region_likelihoods)
+            csv_text, geojson_text = surface_texts(grid, surface.region_likelihoods)
+            write_text(args.surface_out + ".csv", csv_text)
+            write_text(args.surface_out + ".geojson", geojson_text + "\n")
         top_region = int(np.argmax(surface.region_likelihoods))
         _summary(
             command="predict",
@@ -265,7 +262,7 @@ def _cmd_fuse(args) -> None:
     scenario = load_scenario(args.scenario)
     estimate = fuse(scenario, models, fraction=args.fraction, seed=seed, fusion=args.fusion)
     write_tsv(args.out + ".tsv", [(args.fraction, *estimate.center, estimate.error_km)])
-    _write_geojson(args.out + ".geojson", estimate.grid, estimate.region_likelihoods)
+    write_text(args.out + ".geojson", surface_to_geojson(estimate.grid, estimate.region_likelihoods) + "\n")
     _summary(
         command="fuse",
         observations=len(estimate.observations_used),

@@ -204,6 +204,8 @@ def load_scenario(path: str) -> Scenario:
             value = int(rest[0])
         elif len(rest) == 3:
             value = Poi(rest[0], float(rest[1]), float(rest[2]))
+            if not head:
+                raise ValueError("observation labels must be non-empty")
             if head != "unknown":
                 return head, value
         else:

@@ -27,7 +27,6 @@ is uniform and every vertex counts as underflowed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,6 +50,7 @@ __all__ = [
     "region_ranking",
     "relation_holds",
     "score_point",
+    "surface_texts",
     "surface_to_csv",
     "surface_to_geojson",
 ]
@@ -438,33 +438,72 @@ def qualitative_accuracy(trial: PredictionTrial) -> float:
     return correct / trial.choices.size
 
 
+# JSON's spellings of the non-finite floats that ``repr`` spells nan, inf and -inf.
+_JSON_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _spell(grid: Grid, region_likelihoods) -> tuple[list[str], list[str]]:
+    """Per region, its likelihood as ``repr`` (CSV) and ``json.dumps`` (GeoJSON) spell it: alike if finite."""
+    values = np.asarray(region_likelihoods, dtype=float)
+    if values.shape != (grid.region_count,):
+        raise ValueError(f"{values.size} region likelihoods for a grid of {grid.region_count} regions")
+    spelled = list(map(repr, values.tolist()))
+    if np.isfinite(values).all():
+        return spelled, spelled
+    return spelled, [_JSON_SPELLINGS.get(value, value) for value in spelled]
+
+
+def _region_text(grid: Grid, head: str, columns: list, tail: str) -> str:
+    """``head``, then per region each column's entry in turn, then ``tail``, in one join.
+
+    A column is a list of one string per region (row-major), or one string
+    for every region.
+    """
+    n, k = grid.region_count, len(columns)
+    parts = [""] * (k * n + 2)
+    parts[0], parts[-1] = head, tail
+    for i, column in enumerate(columns):
+        parts[1 + i : -1 : k] = [column] * n if isinstance(column, str) else column
+    return "".join(parts)
+
+
+def _row_col_columns(grid: Grid) -> tuple[list[str], list[str]]:
+    """Each region's row and column number as text, spelled once per row and once per column."""
+    labels = [str(cell) for cell in range(grid.dim - 1)]
+    return [label for label in labels for _ in labels], labels * len(labels)
+
+
+def _csv_text(grid: Grid, likelihoods: list[str]) -> str:
+    rows, cols = _row_col_columns(grid)
+    return _region_text(grid, "region_row,region_col,likelihood\n", [rows, ",", cols, ",", likelihoods, "\n"], "")
+
+
+def _geojson_text(grid: Grid, likelihoods: list[str]) -> str:
+    dim = grid.dim
+    lons = list(map(repr, grid.vertices[:dim, 1].tolist()))
+    positions = [[f"[{lon}, {lat}]" for lon in lons] for lat in map(repr, grid.vertices[::dim, 0].tolist())]
+    bottom, top = positions[:-1], positions[1:]
+    bl, br = [p for row in bottom for p in row[:-1]], [p for row in bottom for p in row[1:]]
+    tl, tr = [p for row in top for p in row[:-1]], [p for row in top for p in row[1:]]
+    rows, cols = _row_col_columns(grid)
+    feature = '{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [['
+    opens = [feature] + [", " + feature] * (grid.region_count - 1)
+    columns = [opens, bl, ", ", br, ", ", tr, ", ", tl, ", ", bl, ']]}, "properties": {"region_row": ', rows,
+               ', "region_col": ', cols, ', "likelihood": ', likelihoods, "}}"]
+    return _region_text(grid, '{"type": "FeatureCollection", "features": [', columns, "]}")
+
+
 def surface_to_csv(grid: Grid, region_likelihoods: np.ndarray) -> str:
-    """Region likelihoods as ``region_row,region_col,likelihood`` CSV text."""
-    cells = grid.dim - 1
-    values = np.asarray(region_likelihoods, dtype=float).tolist()
-    lines = ["region_row,region_col,likelihood"]
-    lines += [f"{index // cells},{index % cells},{value!r}" for index, value in enumerate(values)]
-    return "\n".join(lines) + "\n"
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """Each value as ``json.dumps`` spells it, ``NaN`` and ``Infinity`` included."""
-    return json.dumps(values.tolist())[1:-1].split(", ") if values.size else []
+    """Region likelihoods as ``region_row,region_col,likelihood`` CSV text, one row per region."""
+    return _csv_text(grid, _spell(grid, region_likelihoods)[0])
 
 
 def surface_to_geojson(grid: Grid, region_likelihoods: np.ndarray) -> str:
-    """Region likelihoods as GeoJSON FeatureCollection text, as ``json.dumps`` writes it; positions encoded once."""
-    feature = (
-        '{"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [[%s, %s, %s, %s, %s]]}, '
-        '"properties": {"region_row": %d, "region_col": %d, "likelihood": %s}}'
-    )
-    dim, cells = grid.dim, grid.dim - 1
-    lons = _json_floats(grid.vertices[:dim, 1])
-    positions = [f"[{lon}, {lat}]" for lat in _json_floats(grid.vertices[::dim, 0]) for lon in lons]
-    regions = grid.regions.tolist()
-    features = []
-    for index, value in enumerate(_json_floats(np.asarray(region_likelihoods, dtype=float))):
-        bl, br, tl, tr = regions[index]
-        ring = positions[bl], positions[br], positions[tr], positions[tl], positions[bl]
-        features.append(feature % (*ring, index // cells, index % cells, value))
-    return '{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]}"
+    """Region likelihoods as GeoJSON FeatureCollection text, as ``json.dumps`` writes it, one feature per region."""
+    return _geojson_text(grid, _spell(grid, region_likelihoods)[1])
+
+
+def surface_texts(grid: Grid, region_likelihoods: np.ndarray) -> tuple[str, str]:
+    """``surface_to_csv`` and ``surface_to_geojson`` of one surface, spelling each likelihood once."""
+    csv_spelling, json_spelling = _spell(grid, region_likelihoods)
+    return _csv_text(grid, csv_spelling), _geojson_text(grid, json_spelling)

@@ -16,7 +16,7 @@ from geotri import cli, predict
 from geotri.atomic import write_text
 from geotri.cli import ModelFileError, load_model, load_models_dir, run, save_model
 from geotri.mixture import GaussianComponent, GmmModel
-from geotri.predict import make_grid, score_point, surface_to_geojson
+from geotri.predict import make_grid, score_point, surface_to_csv, surface_to_geojson
 
 FIXTURE_ARGS = None  # set lazily via the fixtures_dir fixture
 
@@ -646,6 +646,45 @@ def test_fuse_output_bytes_match_golden_digests(models_dir, fixtures_dir, tmp_pa
     assert run(argv) == 0
     capsys.readouterr()
     assert (sha256(out.with_suffix(".tsv")), sha256(out.with_suffix(".geojson"))) == FUSE_DIGESTS[fusion]
+
+
+# sha256 of the .csv and .geojson that `geotri predict --point 40.09,116.12
+# --surface-out` writes with the fixture-trained models, recorded before the
+# exporters shared one spelling of the likelihoods.
+PREDICT_DIGESTS = {
+    15: (
+        "0ec7d7d2a09ae6c882fb1ec44b06b51cf5f4e931078c9683aeac2370b7254cbb",
+        "f53155eb42dd86489182d29e7491ac1615ddd307912767fed3f5a4a622c9b764",
+    ),
+    60: (
+        "f998bb8a7ff81264ee2922e28dd2a17d3f7ebaf886f74a7bbc6f637986439f85",
+        "61ce636be26a6e0e24652ea1e1aba389272b33a201d6b599cb41822ac3f5fc16",
+    ),
+}
+
+
+def predict_surface_files(models_dir, tmp_path, capsys, dim):
+    out = tmp_path / "surface"
+    argv = ["predict", "--models", str(models_dir), "--bbox", "40.0,116.0,40.18,116.235", "--grid-dim", str(dim),
+            "--point", "40.09,116.12", "--surface-out", str(out)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    return out.with_suffix(".csv"), out.with_suffix(".geojson")
+
+
+@pytest.mark.parametrize("dim", sorted(PREDICT_DIGESTS))
+def test_predict_surface_bytes_match_golden_digests(models_dir, tmp_path, capsys, dim):
+    files = predict_surface_files(models_dir, tmp_path, capsys, dim)
+    assert tuple(map(sha256, files)) == PREDICT_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("dim", sorted(PREDICT_DIGESTS))
+def test_predict_surface_files_hold_the_exporters_text(models_dir, tmp_path, capsys, dim):
+    csv_path, geojson_path = predict_surface_files(models_dir, tmp_path, capsys, dim)
+    grid = make_grid((40.0, 116.0, 40.18, 116.235), dim)
+    likelihoods = score_point((40.09, 116.12), grid, load_models_dir(models_dir)).region_likelihoods
+    assert csv_path.read_bytes() == surface_to_csv(grid, likelihoods).encode()
+    assert geojson_path.read_bytes() == (surface_to_geojson(grid, likelihoods) + "\n").encode()
 
 
 @pytest.mark.parametrize("header", ["dim\t1", "dim\t0", "bbox\t40.0\t116.0\t40.0\t116.235"])

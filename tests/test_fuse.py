@@ -396,6 +396,15 @@ def test_load_scenario_rejects_repeated_header_row(tmp_path, row):
         load_scenario(str(path))
 
 
+def test_load_scenario_reports_empty_observation_label_with_line(tmp_path):
+    path = tmp_path / "scenario.tsv"
+    save_scenario(demo_scenario(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:5] + ["\tlm\t40.1\t116.1"] + lines[5:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"scenario\.tsv:6: observation labels must be non-empty"):
+        load_scenario(str(path))
+
+
 def test_fusion_sharpens_with_more_observations():
     # More evidence about the same hidden point shrinks the error, echoing
     # the fraction ladder trend on a single scenario.

@@ -19,6 +19,7 @@ from geotri.predict import (
     region_ranking,
     relation_holds,
     score_point,
+    surface_texts,
     surface_to_csv,
     surface_to_geojson,
 )
@@ -506,6 +507,30 @@ def test_surface_geojson_spells_non_finite_likelihoods_as_json():
     text = surface_to_geojson(grid, np.array([math.nan, math.inf, -math.inf, 0.5]))
     likelihoods = [part.split("}")[0] for part in text.split('"likelihood": ')[1:]]
     assert likelihoods == ["NaN", "Infinity", "-Infinity", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "as_input",
+    [lambda values: values.tolist(), lambda values: values.astype(np.float32)],
+    ids=["list", "float32"],
+)
+def test_surface_exports_convert_any_float_input_like_the_reference(as_input):
+    grid = make_grid(BBOX, 9)
+    values = np.random.default_rng(5).random(grid.region_count) ** 9
+    for offset, special in enumerate(EXPORT_SPECIALS):
+        values[offset::7] = special
+    given = as_input(values)
+    expected = reference_csv(grid, given), reference_geojson(grid, given)
+    assert (surface_to_csv(grid, given), surface_to_geojson(grid, given)) == expected
+    assert surface_texts(grid, given) == expected
+
+
+@pytest.mark.parametrize("count", [8, 10], ids=["short", "long"])
+@pytest.mark.parametrize("export", [surface_to_csv, surface_to_geojson, surface_texts])
+def test_surface_exports_reject_likelihoods_not_one_per_region(export, count):
+    grid = make_grid(BBOX, 4)
+    with pytest.raises(ValueError, match=rf"^{count} region likelihoods for a grid of 9 regions$"):
+        export(grid, np.full(count, 1.0 / count))
 
 
 def test_oracle_proximity_predicates():
