@@ -11,18 +11,23 @@ vertex (a column sum across reference vertices), normalized into a vertex
 distribution, and averaged over each region's four corners.
 The projection is linear in latitude and longitude, so a vertex pair's
 features depend only on its (row, col) offset: each label's density is
-evaluated once per grid over the offsets (see ``_offset_kernels``), and the
-column sums of a block of points come from matrix products with each
-label's kernel laid out as row-Toeplitz blocks (see ``_score_block``); no
+evaluated once per grid over the offsets (see ``_offset_kernels``). Per
+label, a point's column sums are then a 2-D convolution of the map of the
+references that chose the label with the label's kernel, and a block of
+points takes one FFT convolution over n x n arrays, n the smallest power of
+two >= 2*dim - 1 (see ``_score_block``): O(dim^2 log dim) time per point and
+label, O(L * n^2) memory per grid plus O(P * L * n^2) per block, and no
 vertex x vertex surface is built.
 
 Densities are evaluated in log space. Each term of a point's column sums is
-exp(log density - peak), up to rounding, where the peak is the largest log
-density over all of its (reference, subject) pairs, so the surface is a
-uniformly scaled copy of the raw densities and every derived quantity is
-scale-free. A reference vertex where every model's density underflows to
-zero falls back to the first label; if every pair underflows, the surface
-is uniform and every vertex counts as underflowed.
+exp(log density - peak), where the peak is the largest log density over all
+of its (reference, subject) pairs, so the surface is a uniformly scaled copy
+of the raw densities and every derived quantity is scale-free. The FFT
+rounds each sum to within about 1e-15 of the largest one, not of itself,
+and a sum rounded below 0 is clamped to 0. A reference vertex where every
+model's density underflows to zero falls back to the first label; if every
+pair underflows, the surface is uniform and every vertex counts as
+underflowed.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ __all__ = [
     "prediction_accuracy",
     "prediction_trial",
     "qualitative_accuracy",
-    "region_ranking",
     "relation_holds",
     "score_point",
     "surface_texts",
@@ -192,17 +196,6 @@ def _offset_kernels(grid: Grid, models) -> np.ndarray:
     return np.stack([models[label].logpdf(*flat).reshape(dist.shape) for label in sorted(models)])
 
 
-def _row_toeplitz(exp_kernels: np.ndarray, dim: int) -> np.ndarray:
-    """Lay (..., 2*dim - 1, 2*dim - 1) kernels out as (..., dim, (2*dim - 1) * dim) blocks.
-
-    Entry ``[c, k * dim + c2]`` is the kernel's ``[k, c2 - c + dim - 1]``: kernel
-    row k for a reference in column c and a subject in column c2.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(exp_kernels, dim, axis=-1)  # [..., k, s, c2] -> [k, s + c2]
-    shifted = windows[..., ::-1, :]  # (..., k, c, c2)
-    return np.moveaxis(shifted, -3, -2).reshape(*exp_kernels.shape[:-2], dim, (2 * dim - 1) * dim)
-
-
 def _window_max(kernels: np.ndarray, dim: int, axis: int) -> np.ndarray:
     """Maximum over every length-``dim`` window along ``axis`` (of length 2*dim - 1).
 
@@ -220,15 +213,15 @@ class _ScoringTables:
     """Per-grid tables of the sorted labels' offset kernels K (see ``_offset_kernels``).
 
     ``kernels`` is K itself, ``peaks`` each label's maximum m = max K,
-    ``toeplitz`` the (L*dim, (2*dim - 1)*dim) stack of ``_row_toeplitz``
-    blocks of exp(K - m) (zero for a label whose m is not finite), and
-    ``reach[l, i]`` the largest K_l over the offsets a subject can take from
-    reference vertex i.
+    ``spectra`` the (L, n, n // 2 + 1) ``rfft2`` of exp(K - m) zero-padded
+    to n x n (zero for a label whose m is not finite), where n is the
+    smallest power of two >= 2*dim - 1, and ``reach[l, i]`` the largest K_l
+    over the offsets a subject can take from reference vertex i.
     """
 
     kernels: np.ndarray
     peaks: np.ndarray
-    toeplitz: np.ndarray
+    spectra: np.ndarray
     reach: np.ndarray
 
 
@@ -243,7 +236,9 @@ def _scoring_tables(grid: Grid, models) -> _ScoringTables:
     windows = _window_max(_window_max(kernels, dim, 1), dim, 2)
     # Reference (row, col) sees the window starting at kernel (dim-1-row, dim-1-col).
     reach = windows[:, ::-1, ::-1].reshape(len(kernels), -1)
-    return _ScoringTables(kernels, peaks, _row_toeplitz(scaled, dim).reshape(-1, scaled.shape[1] * dim), reach)
+    # A power of two: 2*dim - 1 itself is 29 or 59 at dims 15 and 30, primes that numpy.fft transforms slowly.
+    n = 1 << (2 * dim - 2).bit_length()
+    return _ScoringTables(kernels, peaks, np.fft.rfft2(scaled, s=(n, n)), reach)
 
 
 def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,36 +247,40 @@ def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tupl
     ``choice`` holds the block's rows of ``_select_models``. A point's column
     sums are sum_i exp(K_{c_i}[j - i] - peak), where its peak, the largest
     K_{c_i}[j - i] over every pair, is the largest ``reach`` of its choices.
-    Each reference vertex's one-hot label choice, weighted by exp(m_l - peak),
-    multiplies the row-Toeplitz stack: one (dim x L*dim) @ (L*dim x
-    (2*dim - 1)*dim) product per point sums, for every reference row and
-    kernel row, the references of that row. Adding the kernel rows each
-    reference row uses, shifted by the row, gives the column sums. A label
-    whose kernel maximum lies above the point's peak (no vertex that chose it
-    reaches that maximum) uses its own kernel exp(min(K - peak, 0)) instead,
-    which is exact because no pair uses an entry above the peak. A point
-    whose peak is infinite gets the uniform surface.
+    Per label, that sum is the 2-D convolution of the dim x dim map of the
+    references that chose it, each weighted by exp(m_l - peak), with
+    exp(K_l - m_l); the sums are the window [dim - 1, 2*dim - 2]^2 of the
+    sum over labels, taken as one ``rfft2`` of the whole (P, L, n, n) block,
+    a product with ``spectra`` and one ``irfft2`` (n >= 2*dim - 1, so no
+    wrap-around reaches the window). Round-off below zero is clamped to 0.
+    A label whose kernel maximum lies above the point's peak (no vertex that
+    chose it reaches that maximum) uses its own kernel exp(min(K - peak, 0))
+    instead, which is exact because no pair uses an entry above the peak. A
+    point whose peak is infinite gets the uniform surface.
     """
     dim, v = grid.dim, grid.vertex_count
     n_points, n_labels = len(choice), len(tables.peaks)
+    shape = (tables.spectra.shape[1],) * 2
     peak = tables.reach[choice, np.arange(v)].max(axis=1)
     flat = np.isinf(peak)
     excess = tables.peaks - np.where(flat, 0.0, peak)[:, None]
     unreachable = (excess > 0.0) & ~flat[:, None]
     scale = np.exp(np.minimum(excess, 0.0))
     scale[unreachable | flat[:, None]] = 0.0
-    chosen = choice[:, :, None] == np.arange(n_labels)  # (P, V, L)
-    weights = (chosen * scale[:, None, :]).reshape(n_points, dim, dim, n_labels).swapaxes(2, 3)
-    # A stacked matmul runs one product per point, so a point scores the same in any block.
-    rows = weights.reshape(n_points, dim, n_labels * dim) @ tables.toeplitz
-    for point, label in np.argwhere(unreachable & chosen.any(axis=1)):
+    chosen = choice[:, None, :] == np.arange(n_labels)[:, None]  # (P, L, V)
+    weights = (chosen * scale[:, :, None]).reshape(n_points, n_labels, dim, dim)
+    # numpy.fft transforms each point of a batch alike, so a point scores the same in any block.
+    transforms = np.fft.rfft2(weights, s=shape)
+    # Label by label: a whole (P, L, n, n // 2 + 1) product is a temporary that is paged in afresh per block.
+    spectrum = transforms[:, 0] * tables.spectra[0]
+    for label in range(1, n_labels):
+        spectrum += transforms[:, label] * tables.spectra[label]
+    for point, label in np.argwhere(unreachable & chosen.any(axis=2)):
         clamped = np.exp(np.minimum(tables.kernels[label] - peak[point], 0.0))
-        rows[point] += chosen[point, :, label].reshape(dim, dim) @ _row_toeplitz(clamped, dim)
-    rows = rows.reshape(n_points, dim, 2 * dim - 1, dim)
-    sums = np.zeros((n_points, dim, dim))
-    for row in range(dim):
-        sums += rows[:, row, dim - 1 - row : 2 * dim - 1 - row]
-    sums = sums.reshape(n_points, v)
+        mask = chosen[point, label].reshape(dim, dim)
+        spectrum[point] += np.fft.rfft2(mask, s=shape) * np.fft.rfft2(clamped, s=shape)
+    sums = np.fft.irfft2(spectrum, s=shape)[:, dim - 1 : 2 * dim - 1, dim - 1 : 2 * dim - 1]
+    sums = np.maximum(sums, 0.0).reshape(n_points, v)
     sums[flat] = 1.0
     return sums / sums.sum(axis=1, keepdims=True), peak
 
@@ -306,15 +305,11 @@ def score_point(point, grid: Grid, models) -> PredictionSurface:
     )
 
 
-def region_ranking(region_likelihoods: np.ndarray) -> list[int]:
-    """Region indices from most to least likely; ties favor the lower index."""
-    return np.argsort(-np.asarray(region_likelihoods), kind="stable").tolist()
-
-
 def _true_region_ranks(grid: Grid, points: np.ndarray, region_likelihoods: np.ndarray) -> np.ndarray:
-    """Per point, the position of its own region in ``region_ranking`` of its row of likelihoods.
+    """Per point, the position of its own region when its row of likelihoods is ranked.
 
-    That position is the number of regions more likely than the point's
+    Regions rank from most to least likely, ties favoring the lower index, so
+    that position is the number of regions more likely than the point's
     region plus the number of equally likely regions with a lower index.
     """
     target = np.array([grid.region_containing(lat, lon) for lat, lon in points])

@@ -649,16 +649,16 @@ def test_fuse_output_bytes_match_golden_digests(models_dir, fixtures_dir, tmp_pa
 
 
 # sha256 of the .csv and .geojson that `geotri predict --point 40.09,116.12
-# --surface-out` writes with the fixture-trained models, recorded before the
-# exporters shared one spelling of the likelihoods.
+# --surface-out` writes with the fixture-trained models, recorded when scoring
+# moved to one FFT convolution per block.
 PREDICT_DIGESTS = {
     15: (
-        "0ec7d7d2a09ae6c882fb1ec44b06b51cf5f4e931078c9683aeac2370b7254cbb",
-        "f53155eb42dd86489182d29e7491ac1615ddd307912767fed3f5a4a622c9b764",
+        "c64cd2fd18b4f726cadc9039d55935f2a29486524dcdf6eca7b51b6ae44f0471",
+        "c79158cccb0ca6ce988283ae19da3cec276339b873b168d61dab2a6907905cc4",
     ),
     60: (
-        "f998bb8a7ff81264ee2922e28dd2a17d3f7ebaf886f74a7bbc6f637986439f85",
-        "61ce636be26a6e0e24652ea1e1aba389272b33a201d6b599cb41822ac3f5fc16",
+        "2a0a5d515f0f920c82c82ca06cf5a872ecd169e930f00945e8f1b1c5c5f3cf8b",
+        "a8b900cd23037fb055c64bb57d75f440483a34b333bb39258340ee388cc27dc5",
     ),
 }
 

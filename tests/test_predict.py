@@ -16,7 +16,6 @@ from geotri.predict import (
     prediction_accuracy,
     prediction_trial,
     qualitative_accuracy,
-    region_ranking,
     relation_holds,
     score_point,
     surface_texts,
@@ -155,6 +154,11 @@ def best_model(point, ref_vertex, models, origin: ProjectionOrigin) -> str:
     x = np.array([[float(dist), float(orient)]])
     scores = [float(models[label].logpdf(*x.T)[0]) for label in labels]
     return labels[int(np.argmax(scores))]
+
+
+def region_ranking(region_likelihoods: np.ndarray) -> list[int]:
+    """Region indices from most to least likely; ties favor the lower index."""
+    return np.argsort(-np.asarray(region_likelihoods), kind="stable").tolist()
 
 
 def test_surface_chosen_labels_match_best_model():
@@ -303,6 +307,8 @@ def test_label_without_density_anywhere_adds_nothing(dead):
     fused, labels, underflow = direct_surface(point, grid, models)
     assert not np.isnan(surface.fused_vertex).any()
     assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
+    # Most vertices are out of every reference's reach, so their mass is 0 up to FFT round-off.
+    assert surface.fused_vertex.min() >= 0 and surface.region_likelihoods.min() >= 0
     assert surface.chosen_labels == labels
     assert 0 < len(underflow) < grid.vertex_count
     assert surface.underflow_vertices == underflow
@@ -336,6 +342,7 @@ def test_kernel_peak_out_of_reach_of_every_vertex_that_chose_it(slope, offset, g
     surface = score_point(point, grid, models)
     fused, labels, underflow = direct_surface(point, grid, models)
     assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
+    assert surface.fused_vertex.min() >= 0 and surface.region_likelihoods.min() >= 0
     assert surface.chosen_labels == labels
     assert surface.underflow_vertices == underflow
 
@@ -387,6 +394,12 @@ def test_prediction_trial_choices_and_ranks_match_score_point(dim):
         assert tuple(trial.labels[c] for c in choice) == surface.chosen_labels
         target = grid.region_containing(point[0], point[1])
         assert rank == region_ranking(surface.region_likelihoods).index(target)
+    # The whole trial as one block scores each point bit for bit as it scores alone.
+    tables = predict._scoring_tables(grid, models)
+    fused, peak = predict._score_block(grid, tables, trial.choices)
+    for row, choice in enumerate(trial.choices):
+        alone, alone_peak = predict._score_block(grid, tables, choice[None])
+        assert np.array_equal(alone[0], fused[row]) and alone_peak[0] == peak[row]
 
 
 def test_uniform_stub_trial_ranks_match_stable_order():
