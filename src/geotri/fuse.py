@@ -108,11 +108,11 @@ def subsample(observations, fraction: float, seed: int) -> list:
 def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusion: str = "product") -> Estimate:
     """Estimate the unknown location from a subsample of the observations.
 
-    Per-vertex evidence is summed over observations sorted by value, which
-    makes the result independent of observation order; ``fusion='product'``
-    sums log densities, ``fusion='sum'`` sums raw densities. It is computed
-    per block of vertex columns within ``_PAIR_BUDGET`` observation x vertex
-    pairs, so peak memory no longer grows with observations x vertices.
+    Per-vertex evidence is summed over the observations in (label, lat, lon)
+    order, so their input order cannot matter; ``fusion='product'`` sums log
+    densities, ``fusion='sum'`` raw densities. It is computed per block of
+    vertex columns within ``_PAIR_BUDGET`` observation x vertex pairs, so peak
+    memory no longer grows with observations x vertices.
     """
     if fusion not in FUSION_MODES:
         raise ValueError(f"fusion must be one of {FUSION_MODES}")
@@ -122,9 +122,9 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
         raise MissingModelError(f"no model for relation label(s): {', '.join(missing)}")
 
     grid = make_grid(scenario.bbox, scenario.dim)
-    by_label = sorted(used, key=lambda observation: observation[0])  # each label's rows contiguous
-    labels = [label for label, _ in by_label]
-    lats, lons = np.array([(landmark.lat, landmark.lon) for _, landmark in by_label]).T[:, :, None]
+    # Rows in (label, lat, lon) order: observations with equal keys have equal rows.
+    labels, *coords = zip(*sorted((label, landmark.lat, landmark.lon) for label, landmark in used))
+    lats, lons = np.array(coords)[:, :, None]
     groups = [
         (slice(bisect_left(labels, label), bisect_right(labels, label)), models[label])
         for label in sorted(set(labels))
@@ -138,7 +138,6 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
         per_observation = np.empty(dist.shape)
         for rows, model in groups:
             per_observation[rows] = model.logpdf(dist[rows].ravel(), orient[rows].ravel()).reshape(-1, stop - start)
-        per_observation.sort(axis=0)  # columns summed in sorted order: observation order cannot matter
         if fusion == "sum":
             np.exp(per_observation, out=per_observation)
         evidence[start:stop] = per_observation.sum(axis=0)

@@ -28,7 +28,6 @@ from .predict import make_grid, relation_holds
 
 __all__ = [
     "CITY_BBOX",
-    "UniformDensityModel",
     "consistent_scenario",
     "sample_mixture",
     "sample_training_data",
@@ -42,16 +41,6 @@ CITY_BBOX = (40.0, 116.0, 40.18, 116.235)
 _LANDMARK_MAX_KM = 16.0
 # Tried in this order; a landmark takes the first label whose predicate holds.
 _SCENARIO_LABELS = ("at", "near", "north of", "west of")
-
-
-class UniformDensityModel:
-    """Stub model with the same density everywhere (log density 0)."""
-
-    def __init__(self, relation: str = "anywhere"):
-        self.relation = relation
-
-    def logpdf(self, distance, orientation) -> np.ndarray:
-        return np.zeros(np.shape(distance))
 
 
 def _diag(var_d: float, var_o: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from geotri import load_gazetteer, load_patterns
@@ -36,3 +37,13 @@ def gold_triplets() -> set[tuple[str, str, str]]:
             subject, label, obj = line.rstrip("\n").split("\t")
             gold.add((subject, label, obj))
     return gold
+
+
+class UniformDensityModel:
+    """Stub model with the same density everywhere (log density 0)."""
+
+    def __init__(self, relation: str = "anywhere"):
+        self.relation = relation
+
+    def logpdf(self, distance, orientation) -> np.ndarray:
+        return np.zeros(np.shape(distance))

@@ -27,7 +27,9 @@ from geotri.predict import (
     qualitative_accuracy,
     score_point,
 )
-from geotri.synth import CITY_BBOX, UniformDensityModel, consistent_scenario, train_city
+from geotri.synth import CITY_BBOX, consistent_scenario, train_city
+
+from conftest import UniformDensityModel
 
 K_VALUES = (1, 5, 10, 20)
 

@@ -625,15 +625,16 @@ def test_fuse_writes_estimate_and_surface(models_dir, fixtures_dir, tmp_path, ca
 
 # sha256 of the estimate .tsv and .geojson that `geotri fuse` writes for the demo
 # scenario with the fixture-trained models, recorded before fusion was blocked by
-# vertex and again when the candidate race changed the trained "at" and "north of".
+# vertex, again when the candidate race changed the trained "at" and "north of",
+# and again when evidence came to be summed in (label, lat, lon) order.
 FUSE_DIGESTS = {
     "product": (
-        "8ed03cb54c189a23b06afcfed7560b66387ea2e65e80b00daf729874eed1d593",
-        "80d53b27fff75f9aea347b4d6e93369607320bb2037b21c7acffe147f2956e9c",
+        "66b8977d91d31a7e6413add904df56bda1f048a1a962dcb3afb8000544c0c2a1",
+        "f344581457f1918320be1a19e58a6bdd4443614df8a6953ac819021579090328",
     ),
     "sum": (
         "dc122bb1549d9d97eaf16da11896b25ef4c2013ed6bd95bb52fbd3b899f4da21",
-        "3dcd02f9dbe9292a37d657d8b664d4694b09d288390f849bcc48465cded6a21a",
+        "08da6d0e982e51f318fe24760dbb9c0f6c01e8b71f24d07d12045e8668dbb3d5",
     ),
 }
 

@@ -22,7 +22,9 @@ from geotri.features import feature_components
 from geotri.gazetteer import Poi
 from geotri.mixture import GaussianComponent, GmmModel
 from geotri.predict import _PAIR_BUDGET, make_grid
-from geotri.synth import CITY_BBOX, UniformDensityModel, consistent_scenario, synthetic_city_models
+from geotri.synth import CITY_BBOX, consistent_scenario, synthetic_city_models
+
+from conftest import UniformDensityModel
 
 BBOX = CITY_BBOX
 
@@ -178,20 +180,38 @@ def test_fuse_single_sharp_at_observation_centers_on_landmark():
     assert estimate.error_km <= 2.0
 
 
+def with_renamed_twin(scenario: Scenario) -> Scenario:
+    """The scenario plus, last, its fourth observation again under another landmark name."""
+    label, landmark = scenario.observations[3]
+    twin = (label, Poi("twin", landmark.lat, landmark.lon))
+    return Scenario(scenario.unknown, scenario.observations + (twin,), scenario.bbox, scenario.dim)
+
+
 def test_fuse_observation_order_invariance():
-    scenario = demo_scenario()
     models = synthetic_city_models()
-    base = fuse(scenario, models, fraction=1.0, seed=0)
-    shuffled = Scenario(
-        unknown=scenario.unknown,
-        observations=tuple(reversed(scenario.observations)),
-        bbox=scenario.bbox,
-        dim=scenario.dim,
-    )
-    other = fuse(shuffled, models, fraction=1.0, seed=0)
-    assert other.center == base.center
-    assert other.error_km == base.error_km
-    assert np.array_equal(other.region_likelihoods, base.region_likelihoods)
+    scenarios = [
+        demo_scenario(),  # one block
+        consistent_scenario(200, seed=7, dim=60),  # 163-column blocks and a 14-column tail
+        random_scenario(_PAIR_BUDGET // 112, 15, seed=_PAIR_BUDGET // 112),  # a one-column tail
+        with_renamed_twin(demo_scenario()),  # equal (label, lat, lon), different names
+    ]
+    for scenario in scenarios:
+        n = len(scenario.observations)
+        for fusion in ("product", "sum"):
+            base = fuse(scenario, models, fraction=1.0, seed=0, fusion=fusion)
+            assert base.observations_used == scenario.observations
+            for order in (reversed(range(n)), np.random.default_rng(n).permutation(n)):
+                shuffled = Scenario(
+                    unknown=scenario.unknown,
+                    observations=tuple(scenario.observations[i] for i in order),
+                    bbox=scenario.bbox,
+                    dim=scenario.dim,
+                )
+                other = fuse(shuffled, models, fraction=1.0, seed=0, fusion=fusion)
+                assert other.observations_used == shuffled.observations
+                assert other.center == base.center
+                assert other.error_km == base.error_km
+                assert np.array_equal(other.region_likelihoods, base.region_likelihoods)
 
 
 @pytest.mark.parametrize("fusion", ["product", "sum"])
@@ -218,9 +238,9 @@ def test_fuse_matches_per_observation_fsum(fusion):
 
 
 def one_pass_fuse(scenario, models, fusion):
-    """Region likelihoods and centre from all vertices at once, as fuse computed them before it was blocked."""
+    """Region likelihoods and centre from all vertices at once, each column summed in (label, lat, lon) order."""
     grid = make_grid(scenario.bbox, scenario.dim)
-    used = scenario.observations
+    used = sorted(scenario.observations, key=lambda obs: (obs[0], obs[1].lat, obs[1].lon))
     landmarks = np.array([(landmark.lat, landmark.lon) for _, landmark in used])
     dist, orient = feature_components(*grid.vertices.T, landmarks[:, :1], landmarks[:, 1:], grid.origin)
     features = np.stack([dist, orient], axis=-1)
@@ -228,7 +248,6 @@ def one_pass_fuse(scenario, models, fusion):
     for label in sorted({label for label, _ in used}):
         rows = [row for row, (other, _) in enumerate(used) if other == label]
         per_observation[rows] = models[label].logpdf(*features[rows].reshape(-1, 2).T).reshape(len(rows), -1)
-    per_observation.sort(axis=0)
     if fusion == "product":
         log_vertex = per_observation.sum(axis=0)
         vertex_mass = np.exp(log_vertex - log_vertex.max())

@@ -22,7 +22,9 @@ from geotri.predict import (
     surface_to_csv,
     surface_to_geojson,
 )
-from geotri.synth import CITY_BBOX, UniformDensityModel, synthetic_city_models
+from geotri.synth import CITY_BBOX, synthetic_city_models
+
+from conftest import UniformDensityModel
 
 BBOX = CITY_BBOX
 # City box, a box about four times wider than tall, and a box near 60 degrees north.
