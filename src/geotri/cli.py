@@ -135,6 +135,14 @@ def _seed(given: int | None) -> int:
         raise ValueError(f"GEOTRI_SEED must be an integer, got {text!r}") from None
 
 
+def _check_outputs(outputs, inputs) -> None:
+    """Raise ValueError, before anything is written, when an output is an input file."""
+    for out in outputs:
+        for source in inputs:
+            if os.path.exists(out) and os.path.exists(source) and os.path.samefile(out, source):
+                raise ValueError(f"output {out} is the input file {source}")
+
+
 def _parse_bbox(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -158,6 +166,7 @@ def _cmd_geocode(args) -> None:
 
 
 def _cmd_extract(args) -> None:
+    _check_outputs([args.out], [args.corpus, args.gazetteer, args.patterns])
     gaz = load_gazetteer(args.gazetteer)
     patterns = load_patterns(args.patterns)
     corpus = [line.strip() for line in read_text(args.corpus).split("\n") if line.strip()]
@@ -182,6 +191,7 @@ def _cmd_features(args) -> None:
     sets = build_training_sets(triplets, origin)
     filenames = label_filenames(sets)
     out_dir = Path(args.out_dir)
+    _check_outputs([out_dir / name for name in filenames.values()], [args.triplets])
     out_dir.mkdir(parents=True, exist_ok=True)
     for label, training_set in sets.items():
         write_training_set(training_set, out_dir / filenames[label])
@@ -196,6 +206,7 @@ def _cmd_features(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    _check_outputs([args.out], [args.features])
     seed = _seed(args.seed)
     data = load_feature_array(args.features)
     model = greedy_train(data, args.relation, TrainingConfig(max_components=args.max_components, seed=seed))
@@ -257,6 +268,7 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_fuse(args) -> None:
+    _check_outputs([args.out + ".tsv", args.out + ".geojson"], [args.scenario])
     seed = _seed(args.seed)
     models = load_models_dir(args.models)
     scenario = load_scenario(args.scenario)

@@ -2,14 +2,14 @@
 
 The pipeline mirrors how a travel blog gets mined: split text into
 sentences, tokenize, tag place mentions against a gazetteer (longest match
-first, up to the gazetteer's longest name), and test each pair of mentions
-that are adjacent in the text. A pair becomes a triplet (subject, relation,
-object) only when the token-class sequence of the gap between the mentions
-matches a configured syntactic pattern, and a connector phrase for some
-relation label occurs inside the gap. Requiring both checks keeps sentences
-like "Deutsche Bank invested 10 million dollars in Brazil" from producing a
-bogus containment triplet. A gap longer than the longest pattern's gap is
-rejected before its tokens are classed.
+first, a span growing while it starts some name), and test each pair of
+mentions that are adjacent in the text. A pair becomes a triplet (subject,
+relation, object) only when the token-class sequence of the gap between
+the mentions matches a configured syntactic pattern, and a connector
+phrase for some relation label occurs inside the gap. Requiring both
+checks keeps sentences like "Deutsche Bank invested 10 million dollars in
+Brazil" from producing a bogus containment triplet. A gap longer than the
+longest pattern's gap is rejected before its tokens are classed.
 
 Token classes are approximated with small closed word lists (prepositions,
 copular/3rd-person verbs, determiners, direction words, and so on) plus an
@@ -221,26 +221,32 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
     Candidate spans never include punctuation tokens (normalization would
     otherwise let "Rio de Janeiro ," shadow the comma) and must match an
     indexed name exactly. A span's key is the space-join of its tokens'
-    keys, each normalized once; every such key has at least one word, so no
-    span longer than ``gaz.max_words`` tokens can match and none is tried.
+    keys, each normalized once. From each start the span grows one token at
+    a time while its key is a word-prefix of some name
+    (``gaz.name_prefixes``) and takes the longest key found in the index, so
+    a token that starts no multi-word name costs two hash lookups, however
+    long the names are.
     """
     keys = [normalize_name(token) or None for token in tokens]
-    keys.append(None)  # ends the last window at the end of the sentence
+    keys.append(None)  # ends the last span at the end of the sentence
+    index, prefixes = gaz.name_index, gaz.name_prefixes
     spans: list[EntitySpan] = []
     i = 0
     n = len(tokens)
     while i < n:
-        stop = i
-        while stop < i + gaz.max_words and keys[stop] is not None:
+        key = keys[i]
+        entry = index.get(key)
+        end = stop = i + 1
+        while key in prefixes and keys[stop] is not None:
+            key = f"{key} {keys[stop]}"
             stop += 1
-        for end in range(stop, i, -1):
-            entry = gaz.name_index.get(" ".join(keys[i:end]))
-            if entry is not None:
-                spans.append(EntitySpan(i, end, Poi(entry.name, entry.lat, entry.lon)))
-                i = end
-                break
-        else:
+            if key in index:
+                entry, end = index[key], stop
+        if entry is None:
             i += 1
+        else:
+            spans.append(EntitySpan(i, end, Poi(entry.name, entry.lat, entry.lon)))
+            i = end
     return spans
 
 

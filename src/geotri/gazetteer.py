@@ -77,20 +77,28 @@ class GazetteerEntry:
 class Gazetteer:
     """Entries plus an index from each normalized name to its exact-match winner.
 
-    ``max_words`` is the longest indexed name's word count, settled at
-    construction. Instances are then immutable and thread-shareable; the
-    ``fuzzy_index`` is derived on first use, and a race only builds it twice.
+    ``name_prefixes`` holds the word-prefixes of every multi-word key (its
+    first 1..w-1 words), settled at construction. Instances are then
+    immutable and thread-shareable; the ``fuzzy_index`` is derived on first
+    use, and a race only builds it twice.
     """
 
     entries: list[GazetteerEntry]
     name_index: dict[str, GazetteerEntry]
     skipped_rows: int = 0
-    max_words: int = field(init=False)
+    name_prefixes: set[str] = field(init=False, repr=False, compare=False)
     _fuzzy_index: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        words = max((key.count(" ") + 1 for key in self.name_index), default=0)
-        object.__setattr__(self, "max_words", words)
+        prefixes: set[str] = set()
+        for key in [key for key in self.name_index if " " in key]:
+            # Longest prefix first: once one is known, so are all shorter ones.
+            while " " in key:
+                key = key.rpartition(" ")[0]
+                if key in prefixes:
+                    break
+                prefixes.add(key)
+        object.__setattr__(self, "name_prefixes", prefixes)
         object.__setattr__(self, "_fuzzy_index", None)
 
     @property

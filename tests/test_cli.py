@@ -195,6 +195,26 @@ def test_extract_does_not_mutate_inputs(fixtures_dir, tmp_path):
     assert before == after
 
 
+def assert_refused(code, capsys, path, before):
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "is the input file" in err[0]
+    assert path.read_bytes() == before
+
+
+def test_extract_refuses_an_input_as_output(fixtures_dir, tmp_path, capsys):
+    names = {"--corpus": "corpus.txt", "--gazetteer": "gazetteer.tsv", "--patterns": "patterns.tsv"}
+    args = ["extract"]
+    for flag, name in names.items():
+        (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
+        args += [flag, str(tmp_path / name)]
+    for name in names.values():
+        before = (tmp_path / name).read_bytes()
+        # Spelled differently from the input path: the check compares files, not strings.
+        assert_refused(run([*args, "--out", f"{tmp_path}/./{name}"]), capsys, tmp_path / name, before)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names.values())
+
+
 def test_features_writes_per_label_files(feature_dir):
     names = sorted(p.name for p in feature_dir.glob("*.tsv"))
     assert names == ["at.tsv", "near.tsv", "north_of.tsv", "west_of.tsv"]
@@ -235,6 +255,16 @@ def test_features_reports_bad_triplet_row_with_path_and_line(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_features_refuses_its_triplets_as_a_label_file(fixtures_dir, tmp_path, capsys):
+    out_dir = tmp_path / "features"
+    out_dir.mkdir()
+    triplets = out_dir / "near.tsv"
+    triplets.write_bytes((fixtures_dir / "triplets_100.tsv").read_bytes())
+    before = triplets.read_bytes()
+    assert_refused(run(["features", "--triplets", str(triplets), "--out-dir", str(out_dir)]), capsys, triplets, before)
+    assert [p.name for p in out_dir.iterdir()] == ["near.tsv"]
+
+
 def test_failed_atomic_write_keeps_old_file(tmp_path):
     path = tmp_path / "out.tsv"
     path.write_text("old\n", encoding="utf-8")
@@ -263,6 +293,15 @@ def test_train_is_byte_deterministic(feature_dir, tmp_path, capsys):
     assert run(args + ["--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_train_refuses_its_features_as_output(feature_dir, tmp_path, capsys):
+    features = tmp_path / "near.tsv"
+    features.write_bytes((feature_dir / "near.tsv").read_bytes())
+    before = features.read_bytes()
+    code = run(["train", "--features", str(features), "--relation", "near", "--seed", "7", "--out", str(features)])
+    assert_refused(code, capsys, features, before)
+    assert [p.name for p in tmp_path.iterdir()] == ["near.tsv"]
 
 
 def test_train_summary_reports_fit(feature_dir, tmp_path, capsys):
@@ -621,6 +660,18 @@ def test_fuse_writes_estimate_and_surface(models_dir, fixtures_dir, tmp_path, ca
     assert len(collection["features"]) == 196
     total = sum(f["properties"]["likelihood"] for f in collection["features"])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fuse_refuses_its_scenario_as_output(models_dir, fixtures_dir, tmp_path, capsys):
+    # "--out s" writes s.tsv and s.geojson; either may be the scenario.
+    for suffix in (".tsv", ".geojson"):
+        scenario = tmp_path / f"s{suffix}"
+        scenario.write_bytes((fixtures_dir / "scenario_demo.tsv").read_bytes())
+        before = scenario.read_bytes()
+        code = run(["fuse", "--scenario", str(scenario), "--models", str(models_dir), "--out", str(tmp_path / "s")])
+        assert_refused(code, capsys, scenario, before)
+        assert [p.name for p in tmp_path.iterdir()] == [scenario.name]
+        scenario.unlink()
 
 
 # sha256 of the estimate .tsv and .geojson that `geotri fuse` writes for the demo

@@ -124,9 +124,10 @@ def window_tagger(tokens, gaz):
     # resolved by an exact geocode of the window's text.
     spans = []
     punct = [token_class(t) == "PUNCT" for t in tokens]
+    max_words = max((key.count(" ") + 1 for key in gaz.name_index), default=0)
     i = 0
     while i < len(tokens):
-        for length in range(min(gaz.max_words, len(tokens) - i), 0, -1):
+        for length in range(min(max_words, len(tokens) - i), 0, -1):
             if any(punct[i : i + length]):
                 continue
             surface = " ".join(tokens[i : i + length])
@@ -167,6 +168,9 @@ def test_window_key_is_the_join_of_token_keys(text):
 
 
 _NAME = st.lists(st.sampled_from(_WORDS + [" ", "-", ". ", ", ", "'"]), min_size=1, max_size=5).map("".join)
+# Names that are word-prefixes of one another: in "Rio de la Janeiro" the span
+# grows through "rio de" and "rio de la" and must fall back to "Rio".
+_NESTED = ["Rio", "Rio de Janeiro", "Rio de la Plata"]
 
 
 @st.composite
@@ -174,16 +178,22 @@ def tagging_cases(draw):
     # Names collide after normalization ("a-b", "A b"), repeat with new
     # coordinates (equal names), and carry punctuation; the text mixes
     # names, loose words and punctuation.
-    names = draw(st.lists(_NAME, min_size=1, max_size=6))
+    names = draw(st.lists(_NAME | st.sampled_from(_NESTED), min_size=1, max_size=6))
     names += draw(st.lists(st.sampled_from(names), max_size=3))
     entries = [
         GazetteerEntry(name, tuple(draw(st.lists(_NAME, max_size=2))), float(pos), 0.0)
         for pos, name in enumerate(names)
     ]
-    pieces = draw(st.lists(st.sampled_from(names) | st.sampled_from(_WORDS + [".", ",", "-"]), max_size=12))
+    loose = _WORDS + [".", ",", "-", "Rio", "de", "la", "Janeiro"]
+    pieces = draw(st.lists(st.sampled_from(names) | st.sampled_from(loose), max_size=12))
     return build_gazetteer(entries), tokenize(" ".join(pieces))
 
 
+_NESTED_GAZETTEER = build_gazetteer([GazetteerEntry(name, (), float(pos), 0.0) for pos, name in enumerate(_NESTED)])
+
+
+@example((_NESTED_GAZETTEER, tokenize("Rio de la Janeiro, Rio de Janeiro de la Plata")))
+@example((_NESTED_GAZETTEER, tokenize("Rio de la Plata Rio de")))
 @settings(max_examples=300)
 @given(tagging_cases())
 def test_tagging_matches_window_geocode_tagger(case):
@@ -283,18 +293,24 @@ def test_six_word_name_is_tagged_and_extracted():
     ]
     triplets = extract_triplets([f"The {long_name} is near Boston."], gaz, demo_patterns())
     assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == [(long_name, "near", "Boston")]
-    assert gaz.max_words == 6
+    # Five of its six words start the name but match nothing.
+    tokens = tokenize("The Church of Saint Mary the Great is near Boston.")
+    assert [(s.token_start, s.token_end) for s in tag_entities(tokens, gaz)] == [(9, 10)]
 
 
 def test_tagging_span_is_the_longest_indexed_name():
     # "O'Hare" normalizes to two words, so a one-token span can match a two-word name.
     gaz = build_gazetteer([GazetteerEntry("O'Hare", ("Chicago O'Hare Airport",), 41.98, -87.9)])
-    assert gaz.max_words == 4
+    assert gaz.name_prefixes == {"o", "chicago", "chicago o", "chicago o hare"}
     tokens = tokenize("Flights from O'Hare and Chicago O'Hare Airport.")
     assert [" ".join(tokens[s.token_start : s.token_end]) for s in tag_entities(tokens, gaz)] == [
         "O'Hare",
         "Chicago O'Hare Airport",
     ]
+    # "chicago o hare" is a prefix of the four-word name, not a name: the span
+    # starting at "Chicago" matches nothing and "O'Hare" is tagged on its own.
+    tokens = tokenize("Chicago O'Hare Terminal")
+    assert [(s.token_start, s.token_end) for s in tag_entities(tokens, gaz)] == [(1, 2)]
 
 
 def test_match_relation_longest_connector_wins():
