@@ -9,7 +9,6 @@ trainer, and fuses relation densities over a grid to locate unknown places.
 from .extract import PatternSet, Triplet, extract_triplets, load_patterns
 from .features import (
     ProjectionOrigin,
-    SpatialFeatureVector,
     build_training_sets,
     feature_vector,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Poi",
     "ProjectionOrigin",
     "Scenario",
-    "SpatialFeatureVector",
     "TrainingConfig",
     "Triplet",
     "build_training_sets",

@@ -32,6 +32,7 @@ from .gazetteer import geocode, load_gazetteer
 from .mixture import (
     GaussianComponent,
     GmmModel,
+    InsufficientDataError,
     InvalidParameterError,
     TrainingConfig,
     gmm_log_likelihood,
@@ -209,7 +210,10 @@ def _cmd_train(args) -> None:
     _check_outputs([args.out], [args.features])
     seed = _seed(args.seed)
     data = load_feature_array(args.features)
-    model = greedy_train(data, args.relation, TrainingConfig(max_components=args.max_components, seed=seed))
+    try:
+        model = greedy_train(data, args.relation, TrainingConfig(max_components=args.max_components, seed=seed))
+    except InsufficientDataError as exc:
+        raise ValueError(f"{args.features}: {exc}") from exc
     save_model(model, args.out)
     _summary(
         command="train",

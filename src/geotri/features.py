@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .gazetteer import Poi
 __all__ = [
     "EARTH_RADIUS_KM",
     "ProjectionOrigin",
-    "SpatialFeatureVector",
     "TrainingSet",
     "build_training_sets",
     "feature_components",
@@ -51,28 +50,17 @@ class ProjectionOrigin:
             raise ValueError(f"origin out of range: {self}")
 
 
-@dataclass(frozen=True)
-class SpatialFeatureVector:
-    """Distance (km) and orientation (degrees in [0, 360)) of one instance."""
-
-    distance: float
-    orientation: float
-
-    def __post_init__(self) -> None:
-        if self.distance < 0.0:
-            raise ValueError("distance must be non-negative")
-        if not (0.0 <= self.orientation < 360.0):
-            raise ValueError("orientation must lie in [0, 360)")
-        if self.distance == 0.0 and self.orientation != 0.0:
-            raise ValueError("zero distance requires orientation 0")
-
-
 @dataclass
 class TrainingSet:
-    """All feature vectors observed for one relation label."""
+    """All feature vectors observed for one relation label.
+
+    ``vectors`` is a record array with the float fields ``distance`` (km)
+    and ``orientation`` (degrees in [0, 360), 0 at zero distance), one row
+    per triplet in triplet order.
+    """
 
     relation: str
-    vectors: list[SpatialFeatureVector] = field(default_factory=list)
+    vectors: np.recarray
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -108,10 +96,10 @@ def feature_components(lat_u, lon_u, lat_v, lon_v, origin: ProjectionOrigin):
     return distance, orientation
 
 
-def feature_vector(p_u: Poi, p_v: Poi, origin: ProjectionOrigin) -> SpatialFeatureVector:
-    """Feature vector of subject ``p_u`` measured at reference ``p_v``."""
+def feature_vector(p_u: Poi, p_v: Poi, origin: ProjectionOrigin) -> tuple[float, float]:
+    """(distance, orientation) of subject ``p_u`` measured at reference ``p_v``."""
     distance, orientation = feature_components(p_u.lat, p_u.lon, p_v.lat, p_v.lon, origin)
-    return SpatialFeatureVector(float(distance), float(orientation))
+    return float(distance), float(orientation)
 
 
 def origin_for_points(points) -> ProjectionOrigin:
@@ -133,10 +121,12 @@ def build_training_sets(triplets, origin: ProjectionOrigin) -> dict[str, Trainin
     triplets = list(triplets)
     coords = [(t.subject.lat, t.subject.lon, t.object.lat, t.object.lon) for t in triplets]
     distance, orientation = feature_components(*np.array(coords, dtype=float).reshape(-1, 4).T, origin)
+    labels = np.array([t.relation for t in triplets], dtype=object)
     sets: dict[str, TrainingSet] = {}
-    for triplet, dist, angle in zip(triplets, distance.tolist(), orientation.tolist()):
-        bucket = sets.setdefault(triplet.relation, TrainingSet(triplet.relation))
-        bucket.vectors.append(SpatialFeatureVector(dist, angle))
+    for label in dict.fromkeys(labels.tolist()):
+        mask = labels == label
+        vectors = np.rec.fromarrays([distance[mask], orientation[mask]], names="distance,orientation")
+        sets[label] = TrainingSet(label, vectors)
     return sets
 
 
@@ -158,7 +148,8 @@ def label_filenames(labels) -> dict[str, str]:
 
 def write_training_set(training_set: TrainingSet, path) -> None:
     """Write one feature vector per line as ``distance<TAB>orientation``."""
-    write_tsv(path, ((v.distance, v.orientation) for v in training_set.vectors))
+    vectors = training_set.vectors
+    write_tsv(path, zip(vectors.distance.tolist(), vectors.orientation.tolist()))
 
 
 def _feature_row(fields: list[str]) -> tuple[float, float]:

@@ -75,7 +75,7 @@ class GazetteerEntry:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """Entries plus an index from each normalized name to its exact-match winner.
+    """An index from each normalized name to its exact-match winner.
 
     ``name_prefixes`` holds the word-prefixes of every multi-word key (its
     first 1..w-1 words), settled at construction. Instances are then
@@ -83,7 +83,6 @@ class Gazetteer:
     use, and a race only builds it twice.
     """
 
-    entries: list[GazetteerEntry]
     name_index: dict[str, GazetteerEntry]
     skipped_rows: int = 0
     name_prefixes: set[str] = field(init=False, repr=False, compare=False)
@@ -130,7 +129,7 @@ def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gaz
             key = normalize_name(name)
             if key and entry.name < index.setdefault(key, entry).name:
                 index[key] = entry
-    return Gazetteer(entries=entries, name_index=index, skipped_rows=skipped_rows)
+    return Gazetteer(name_index=index, skipped_rows=skipped_rows)
 
 
 def _code_points(text: str) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geotri import load_gazetteer, load_patterns
+from geotri.gazetteer import GazetteerEntry
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,6 +17,16 @@ def fixtures_dir() -> pathlib.Path:
 @pytest.fixture(scope="session")
 def gazetteer():
     return load_gazetteer(str(FIXTURES / "gazetteer.tsv"))
+
+
+@pytest.fixture(scope="session")
+def gazetteer_entries() -> list[GazetteerEntry]:
+    # The fixture gazetteer's rows, parsed without the loader.
+    entries = []
+    for line in (FIXTURES / "gazetteer.tsv").read_text(encoding="utf-8").splitlines():
+        name, alts, lat, lon = line.split("\t")
+        entries.append(GazetteerEntry(name, tuple(alt for alt in alts.split(",") if alt), float(lat), float(lon)))
+    return entries
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ import pytest
 from geotri import cli, predict
 from geotri.atomic import write_text
 from geotri.cli import ModelFileError, load_model, load_models_dir, run, save_model
+from geotri.extract import read_triplets_tsv
+from geotri.features import feature_vector, origin_for_points
 from geotri.mixture import GaussianComponent, GmmModel
 from geotri.predict import make_grid, score_point, surface_to_csv, surface_to_geojson
 
@@ -222,6 +224,21 @@ def test_features_writes_per_label_files(feature_dir):
     assert counts == {"near.tsv": 40, "at.tsv": 25, "north_of.tsv": 20, "west_of.tsv": 15}
 
 
+def test_features_files_hold_each_triplets_feature_vector_in_triplet_order(feature_dir, fixtures_dir):
+    triplets = read_triplets_tsv(str(fixtures_dir / "triplets_100.tsv"))
+    origin = origin_for_points([(t.subject.lat, t.subject.lon) for t in triplets]
+                               + [(t.object.lat, t.object.lon) for t in triplets])
+    expected = {}
+    for t in triplets:
+        row = [value.hex() for value in feature_vector(t.subject, t.object, origin)]
+        expected.setdefault(t.relation.replace(" ", "_") + ".tsv", []).append(row)
+    got = {
+        path.name: [[float(value).hex() for value in line.split("\t")] for line in path.read_text(encoding="utf-8").splitlines()]
+        for path in feature_dir.glob("*.tsv")
+    }
+    assert got == expected
+
+
 def test_features_rejects_colliding_label_filenames(tmp_path, capsys):
     triplets = tmp_path / "triplets.tsv"
     triplets.write_text(
@@ -344,6 +361,16 @@ def test_train_reports_bad_feature_row_with_path_and_line(tmp_path, capsys):
     out = tmp_path / "near.model"
     assert run(["train", "--features", str(features), "--relation", "near", "--out", str(out)]) == 1
     assert f"{features}:3: could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "# distance\torientation\n", "1.5\t90.0\n"])
+def test_train_names_a_features_file_with_fewer_than_two_rows(tmp_path, capsys, text):
+    features = tmp_path / "near.tsv"
+    features.write_text(text, encoding="utf-8")
+    out = tmp_path / "near.model"
+    assert run(["train", "--features", str(features), "--relation", "near", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"geotri train: {features}: greedy training needs at least 2 points\n"
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from geotri.extract import Triplet, read_triplets_tsv
 from geotri.features import (
     EARTH_RADIUS_KM,
     ProjectionOrigin,
-    SpatialFeatureVector,
     TrainingSet,
     build_training_sets,
     feature_components,
@@ -56,36 +55,34 @@ def test_projection_origin_bounds():
 
 
 def test_feature_vector_due_east():
-    vec = feature_vector(offset_poi("east", 1.0, 0.0), Poi("ref", ORIGIN.lat0, ORIGIN.lon0), ORIGIN)
-    assert vec.distance == pytest.approx(1.0, rel=1e-9)
-    assert vec.orientation == pytest.approx(0.0, abs=1e-9)
+    distance, orientation = feature_vector(offset_poi("east", 1.0, 0.0), Poi("ref", ORIGIN.lat0, ORIGIN.lon0), ORIGIN)
+    assert distance == pytest.approx(1.0, rel=1e-9)
+    assert orientation == pytest.approx(0.0, abs=1e-9)
 
 
 def test_feature_vector_due_north():
-    vec = feature_vector(offset_poi("north", 0.0, 2.5), Poi("ref", ORIGIN.lat0, ORIGIN.lon0), ORIGIN)
-    assert vec.distance == pytest.approx(2.5, rel=1e-9)
-    assert vec.orientation == pytest.approx(90.0, abs=1e-9)
+    distance, orientation = feature_vector(offset_poi("north", 0.0, 2.5), Poi("ref", ORIGIN.lat0, ORIGIN.lon0), ORIGIN)
+    assert distance == pytest.approx(2.5, rel=1e-9)
+    assert orientation == pytest.approx(90.0, abs=1e-9)
 
 
 def test_feature_vector_three_four_five():
-    vec = feature_vector(offset_poi("ne", 3.0, 4.0), Poi("ref", ORIGIN.lat0, ORIGIN.lon0), ORIGIN)
-    assert vec.distance == pytest.approx(5.0, rel=1e-9)
-    assert vec.orientation == pytest.approx(math.degrees(math.atan2(4.0, 3.0)), abs=1e-9)
-    assert vec.orientation == pytest.approx(53.13, abs=0.01)
+    distance, orientation = feature_vector(offset_poi("ne", 3.0, 4.0), Poi("ref", ORIGIN.lat0, ORIGIN.lon0), ORIGIN)
+    assert distance == pytest.approx(5.0, rel=1e-9)
+    assert orientation == pytest.approx(math.degrees(math.atan2(4.0, 3.0)), abs=1e-9)
+    assert orientation == pytest.approx(53.13, abs=0.01)
 
 
 def test_feature_vector_coincident_points():
     ref = Poi("ref", ORIGIN.lat0, ORIGIN.lon0)
-    vec = feature_vector(Poi("same", ORIGIN.lat0, ORIGIN.lon0), ref, ORIGIN)
-    assert vec.distance == 0.0
-    assert vec.orientation == 0.0
+    assert feature_vector(Poi("same", ORIGIN.lat0, ORIGIN.lon0), ref, ORIGIN) == (0.0, 0.0)
 
 
 def test_orientation_a_hair_below_zero_folds_to_zero():
     # atan2 gives about -5.3e-52 degrees here, which the fold into [0, 360) rounds up to 360.0.
-    vec = feature_vector(Poi("u", 0.0, 1.0), Poi("v", 9.2e-54, 0.0), ProjectionOrigin(0.0, 0.0))
-    assert vec.orientation == 0.0
-    assert vec.distance > 0.0
+    distance, orientation = feature_vector(Poi("u", 0.0, 1.0), Poi("v", 9.2e-54, 0.0), ProjectionOrigin(0.0, 0.0))
+    assert orientation == 0.0
+    assert distance > 0.0
 
 
 def remainder_components(lat_u, lon_u, lat_v, lon_v, origin):
@@ -130,10 +127,10 @@ def test_orientation_fold_matches_remainder_reference_bitwise():
         want_distance, want_orientation = remainder_components(*args)
         assert orientation.shape == ()
         assert (distance.tobytes(), orientation.tobytes()) == (want_distance.tobytes(), want_orientation.tobytes())
-        vec = feature_vector(Poi("u", *subject), Poi("v", *reference), origin)
-        assert np.float64(vec.orientation).tobytes() == want_orientation.tobytes(), (subject, reference)
-        assert np.float64(vec.distance).tobytes() == want_distance.tobytes()
-        assert 0.0 <= vec.orientation < 360.0 and math.copysign(1.0, vec.orientation) == 1.0
+        vec_distance, vec_orientation = feature_vector(Poi("u", *subject), Poi("v", *reference), origin)
+        assert np.float64(vec_orientation).tobytes() == want_orientation.tobytes(), (subject, reference)
+        assert np.float64(vec_distance).tobytes() == want_distance.tobytes()
+        assert 0.0 <= vec_orientation < 360.0 and math.copysign(1.0, vec_orientation) == 1.0
 
 
 def test_feature_components_vectorized():
@@ -145,15 +142,6 @@ def test_feature_components_vectorized():
     assert orient[1] == pytest.approx(90.0, abs=1e-9)
 
 
-def test_spatial_feature_vector_invariants():
-    with pytest.raises(ValueError):
-        SpatialFeatureVector(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        SpatialFeatureVector(1.0, 360.0)
-    with pytest.raises(ValueError):
-        SpatialFeatureVector(0.0, 5.0)
-
-
 small_km = st.floats(min_value=-40.0, max_value=40.0).map(lambda v: round(v, 4))
 
 
@@ -161,11 +149,11 @@ small_km = st.floats(min_value=-40.0, max_value=40.0).map(lambda v: round(v, 4))
 def test_distance_symmetry_orientation_antisymmetry(ax, ay, bx, by):
     a = offset_poi("a", ax, ay)
     b = offset_poi("b", bx, by)
-    forward = feature_vector(a, b, ORIGIN)
-    backward = feature_vector(b, a, ORIGIN)
-    assert forward.distance == pytest.approx(backward.distance, rel=1e-9, abs=1e-12)
-    if forward.distance > 1e-9:
-        delta = (forward.orientation - backward.orientation) % 360.0
+    forward_distance, forward_orientation = feature_vector(a, b, ORIGIN)
+    backward_distance, backward_orientation = feature_vector(b, a, ORIGIN)
+    assert forward_distance == pytest.approx(backward_distance, rel=1e-9, abs=1e-12)
+    if forward_distance > 1e-9:
+        delta = (forward_orientation - backward_orientation) % 360.0
         assert delta == pytest.approx(180.0, abs=1e-6)
 
 
@@ -175,8 +163,8 @@ def test_translation_invariance_at_small_scale(ax, ay, bx, by):
     b = offset_poi("b", bx, by)
     shifted_a = Poi("a2", a.lat + 0.02, a.lon + 0.02)
     shifted_b = Poi("b2", b.lat + 0.02, b.lon + 0.02)
-    base = feature_vector(a, b, ORIGIN).distance
-    moved = feature_vector(shifted_a, shifted_b, ORIGIN).distance
+    base, _ = feature_vector(a, b, ORIGIN)
+    moved, _ = feature_vector(shifted_a, shifted_b, ORIGIN)
     assert abs(moved - base) <= max(1e-9, 0.001 * base)
 
 
@@ -254,7 +242,26 @@ def test_build_training_sets_matches_per_triplet_features_bitwise(block):
     assert list(sets) == list(expected)
     for label, vectors in expected.items():
         got = [(v.distance.hex(), v.orientation.hex()) for v in sets[label].vectors]
-        assert got == [(v.distance.hex(), v.orientation.hex()) for v in vectors]
+        assert got == [(distance.hex(), orientation.hex()) for distance, orientation in vectors]
+
+
+@example(([_COINCIDENT], ORIGIN))
+@example((_LABELS + [_COINCIDENT], ProjectionOrigin(-60.0, -170.0)))
+@example(([_BELOW_ZERO], ProjectionOrigin(0.0, 0.0)))
+@settings(max_examples=200)
+@given(triplet_blocks())
+def test_training_set_columns_keep_the_feature_invariants(block):
+    # What feature_components guarantees, checked on each label's columns,
+    # and the row view (len, .distance, .orientation) that perfbench's ingest
+    # check reads.
+    for training_set in build_training_sets(*block).values():
+        distance, orientation = training_set.vectors.distance, training_set.vectors.orientation
+        assert np.all(distance >= 0.0)
+        assert np.all((orientation >= 0.0) & (orientation < 360.0)) and not np.any(np.signbit(orientation))
+        assert np.all(orientation[distance == 0.0] == 0.0)
+        rows = [(v.distance.hex(), v.orientation.hex()) for v in training_set.vectors]
+        assert rows == [(d.hex(), o.hex()) for d, o in zip(distance.tolist(), orientation.tolist())]
+        assert len(training_set) == len(training_set.vectors) == len(rows)
 
 
 def test_fixture_triplet_file_label_counts(fixtures_dir):
@@ -276,7 +283,7 @@ def test_label_filenames_reject_a_label_that_is_no_plain_file_name(label):
 
 
 def test_training_set_round_trip(tmp_path):
-    vectors = [SpatialFeatureVector(1.25, 45.5), SpatialFeatureVector(0.5, 275.125)]
+    vectors = np.rec.fromrecords([(1.25, 45.5), (0.5, 275.125)], names="distance,orientation")
     path = tmp_path / "near.tsv"
     write_training_set(TrainingSet("near", vectors), str(path))
     array = load_feature_array(str(path))

@@ -37,14 +37,15 @@ def edit_matrix(a: str, b: str) -> int:
     return table[-1][-1]
 
 
+SMALL_ENTRIES = [
+    GazetteerEntry("Boston", (), 42.36, -71.06),
+    GazetteerEntry("New York", ("NYC",), 40.71, -74.01),
+    GazetteerEntry("Athens", ("Athina",), 37.98, 23.73),
+]
+
+
 def small_gazetteer() -> Gazetteer:
-    return build_gazetteer(
-        [
-            GazetteerEntry("Boston", (), 42.36, -71.06),
-            GazetteerEntry("New York", ("NYC",), 40.71, -74.01),
-            GazetteerEntry("Athens", ("Athina",), 37.98, 23.73),
-        ]
-    )
+    return build_gazetteer(SMALL_ENTRIES)
 
 
 def test_levenshtein_identical():
@@ -182,7 +183,7 @@ def test_geocode_prefers_smaller_distance_over_name_order():
 def test_geocode_unaffected_by_distant_entries():
     gaz = small_gazetteer()
     before = geocode("Bostn", gaz, max_edit=1)
-    extended = build_gazetteer(list(gaz.entries) + [GazetteerEntry("Zzyzx", (), 35.1, -116.1)])
+    extended = build_gazetteer(SMALL_ENTRIES + [GazetteerEntry("Zzyzx", (), 35.1, -116.1)])
     assert geocode("Bostn", extended, max_edit=1) == before
 
 
@@ -233,14 +234,14 @@ def test_geocode_query_without_letters_matches_nothing():
     assert geocode("   ", gaz, max_edit=2) is None
 
 
-def brute_force_geocode(name: str, gaz: Gazetteer, max_edit: int) -> Poi | None:
+def brute_force_geocode(name: str, entries: list[GazetteerEntry], max_edit: int) -> Poi | None:
     # Full scan of every entry's names with the oracle distance: minimum
     # (distance, canonical name), then the normalized name that appears first
     # in the entries, then the earliest listed entry.
     query = normalize_name(name)
     first_seen: dict[str, int] = {}
     hits = []
-    for pos, entry in enumerate(gaz.entries):
+    for pos, entry in enumerate(entries):
         for variant in map(normalize_name, (entry.name, *entry.alt_names)):
             if variant:
                 order = first_seen.setdefault(variant, len(first_seen))
@@ -262,30 +263,29 @@ _PLACE = st.text(_LETTERS + "ABÁ -.", min_size=1, max_size=7)
 
 
 @st.composite
-def gazetteers(draw):
+def gazetteer_entry_lists(draw):
     names = draw(st.lists(_PLACE, min_size=1, max_size=6))
     for name in draw(st.lists(st.sampled_from(names), max_size=3)):
         at = draw(st.integers(0, len(name) - 1))
         names.append(name[:at] + draw(st.sampled_from(_LETTERS)) + name[at + 1 :])
     names += draw(st.lists(st.sampled_from(names), max_size=2))
-    entries = [
+    return [
         GazetteerEntry(name, tuple(draw(st.lists(_PLACE, max_size=2))), float(pos), 0.0)
         for pos, name in enumerate(names)
     ]
-    return build_gazetteer(entries)
 
 
 @settings(max_examples=300)
-@given(gazetteers(), _PLACE, st.integers(0, 4))
-def test_geocode_matches_brute_force_scan(gaz, query, max_edit):
-    assert geocode(query, gaz, max_edit) == brute_force_geocode(query, gaz, max_edit)
+@given(gazetteer_entry_lists(), _PLACE, st.integers(0, 4))
+def test_geocode_matches_brute_force_scan(entries, query, max_edit):
+    assert geocode(query, build_gazetteer(entries), max_edit) == brute_force_geocode(query, entries, max_edit)
 
 
 def test_load_single_row(tmp_path):
     path = tmp_path / "gaz.tsv"
     path.write_text("Boston\t\t42.36\t-71.06\n", encoding="utf-8")
     gaz = load_gazetteer(str(path))
-    assert len(gaz.entries) == 1
+    assert gaz.name_index == {"boston": GazetteerEntry("Boston", (), 42.36, -71.06)}
     assert gaz.skipped_rows == 0
 
 
@@ -293,7 +293,7 @@ def test_load_counts_malformed_rows(tmp_path):
     path = tmp_path / "gaz.tsv"
     path.write_text("Boston\t\t42.36\t-71.06\nBad\trow\tonly\n", encoding="utf-8")
     gaz = load_gazetteer(str(path))
-    assert len(gaz.entries) == 1
+    assert list(gaz.name_index) == ["boston"]
     assert gaz.skipped_rows == 1
 
 
@@ -301,7 +301,7 @@ def test_load_skips_unparseable_coordinates(tmp_path):
     path = tmp_path / "gaz.tsv"
     path.write_text("Boston\t\t42.36\t-71.06\nOops\t\tnorth\t-71.0\n", encoding="utf-8")
     gaz = load_gazetteer(str(path))
-    assert len(gaz.entries) == 1
+    assert list(gaz.name_index) == ["boston"]
     assert gaz.skipped_rows == 1
 
 
@@ -319,7 +319,7 @@ def test_load_ignores_comment_lines(tmp_path):
         encoding="utf-8",
     )
     gaz = load_gazetteer(str(path))
-    assert [entry.name for entry in gaz.entries] == ["Boston"]
+    assert list(gaz.name_index) == ["boston"]
     assert gaz.skipped_rows == 0
     assert geocode("Bean Town", gaz, 0) is None
 
@@ -329,20 +329,21 @@ def test_load_missing_file_raises_oserror(tmp_path):
         load_gazetteer(str(tmp_path / "absent.tsv"))
 
 
-def test_fixture_gazetteer_loads_fully(gazetteer):
-    assert len(gazetteer.entries) == 50
+def test_fixture_gazetteer_loads_fully(gazetteer, gazetteer_entries):
+    assert len(gazetteer_entries) == 50
+    assert gazetteer == build_gazetteer(gazetteer_entries)
     assert gazetteer.skipped_rows == 0
 
 
-def test_fixture_every_canonical_name_resolves(gazetteer):
-    for entry in gazetteer.entries:
+def test_fixture_every_canonical_name_resolves(gazetteer, gazetteer_entries):
+    for entry in gazetteer_entries:
         poi = geocode(entry.name, gazetteer, max_edit=0)
         assert poi is not None
         assert poi.name == entry.name
 
 
-def test_fixture_index_maps_each_name_to_its_winner(gazetteer):
-    for key, entry in gazetteer.name_index.items():
+def test_fixture_index_maps_each_name_to_its_winner(gazetteer_entries):
+    for key, entry in build_gazetteer(gazetteer_entries).name_index.items():
         assert key == normalize_name(key)
-        owners = [e for e in gazetteer.entries if key in map(normalize_name, (e.name, *e.alt_names))]
+        owners = [e for e in gazetteer_entries if key in map(normalize_name, (e.name, *e.alt_names))]
         assert entry is min(owners, key=lambda owner: owner.name)
