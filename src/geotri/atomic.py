@@ -24,13 +24,18 @@ def write_text(path, text: str) -> None:
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text with every line end as ``\\n``; bad bytes fail as ``path:line``."""
+    """A UTF-8 file's text, less a leading byte-order mark, with every line end as ``\\n``.
+
+    Bytes that do not decode fail as ``path:line``, counting the mark.
+    """
     data = Path(path).read_bytes()
+    text = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
-        lineno = len((data[: exc.start] + b"?").splitlines())  # bytes.splitlines ends lines at \r\n, \r, \n too
-        raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        start = exc.start + len(data) - len(text)  # the offset in the file, mark included
+        lineno = len((data[:start] + b"?").splitlines())  # bytes.splitlines ends lines at \r\n, \r, \n too
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {start}") from exc
 
 
 def read_tsv(path, parse) -> list:

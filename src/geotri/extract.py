@@ -235,17 +235,17 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
     n = len(tokens)
     while i < n:
         key = keys[i]
-        entry = index.get(key)
+        poi = index.get(key)
         end = stop = i + 1
         while key in prefixes and keys[stop] is not None:
             key = f"{key} {keys[stop]}"
             stop += 1
             if key in index:
-                entry, end = index[key], stop
-        if entry is None:
+                poi, end = index[key], stop
+        if poi is None:
             i += 1
         else:
-            spans.append(EntitySpan(i, end, Poi(entry.name, entry.lat, entry.lon)))
+            spans.append(EntitySpan(i, end, poi))
             i = end
     return spans
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import read_tsv, write_tsv
-from .gazetteer import Poi
+from .gazetteer import Poi, _check_coords
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -46,8 +46,7 @@ class ProjectionOrigin:
     lon0: float
 
     def __post_init__(self) -> None:
-        if not (-90.0 <= self.lat0 <= 90.0 and -180.0 <= self.lon0 <= 180.0):
-            raise ValueError(f"origin out of range: {self}")
+        _check_coords(self.lat0, self.lon0, "origin")
 
 
 @dataclass

@@ -39,9 +39,10 @@ class EmptyGazetteerError(ValueError):
     """Raised when a gazetteer source yields no valid entries."""
 
 
-def _check_coords(lat: float, lon: float) -> None:
+def _check_coords(lat: float, lon: float, what: str = "coordinates") -> None:
+    """Reject a latitude outside [-90, 90] or a longitude outside [-180, 180] (WGS84), NaN included."""
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        raise ValueError(f"coordinates out of range: lat={lat} lon={lon}")
+        raise ValueError(f"{what} out of range: lat={lat} lon={lon}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class Poi:
 
 @dataclass(frozen=True)
 class GazetteerEntry:
-    """One gazetteer row: canonical name, alternate names, coordinate."""
+    """One place for ``build_gazetteer``: canonical name, alternate names, coordinate."""
 
     name: str
     alt_names: tuple[str, ...]
@@ -75,7 +76,7 @@ class GazetteerEntry:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """An index from each normalized name to its exact-match winner.
+    """An index from each normalized name to its exact-match winner's Poi, one object per place.
 
     ``name_prefixes`` holds the word-prefixes of every multi-word key (its
     first 1..w-1 words), settled at construction. Instances are then
@@ -83,7 +84,7 @@ class Gazetteer:
     use, and a race only builds it twice.
     """
 
-    name_index: dict[str, GazetteerEntry]
+    name_index: dict[str, Poi]
     skipped_rows: int = 0
     name_prefixes: set[str] = field(init=False, repr=False, compare=False)
     _fuzzy_index: tuple | None = field(init=False, repr=False, compare=False)
@@ -121,15 +122,20 @@ def normalize_name(name: str) -> str:
     return lowered if lowered.isalnum() else _SPACE.sub(" ", _PUNCT.sub(" ", lowered)).strip()
 
 
-def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gazetteer:
-    """Index each normalized name (first-seen order) to its winner: smallest canonical name, first listed."""
-    index: dict[str, GazetteerEntry] = {}
-    for entry in entries:
-        for name in (entry.name, *entry.alt_names):
+def _build(places, skipped_rows: int) -> Gazetteer:
+    """Index each normalized name of ``(poi, alt_names)`` places (first-seen order) to its winner."""
+    index: dict[str, Poi] = {}
+    for poi, alt_names in places:
+        for name in (poi.name, *alt_names):
             key = normalize_name(name)
-            if key and entry.name < index.setdefault(key, entry).name:
-                index[key] = entry
+            if key and poi.name < index.setdefault(key, poi).name:
+                index[key] = poi
     return Gazetteer(name_index=index, skipped_rows=skipped_rows)
+
+
+def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gazetteer:
+    """Index each normalized name (first-seen order) to its winner's Poi: smallest canonical name, first listed."""
+    return _build([(Poi(e.name, e.lat, e.lon), e.alt_names) for e in entries], skipped_rows)
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -159,13 +165,13 @@ def _check_count(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
-def _entry(fields: list[str]) -> GazetteerEntry | None:
+def _place(fields: list[str]) -> tuple[Poi, tuple[str, ...]] | None:
     if len(fields) != 4:
         return None
     name, alt_field, lat_field, lon_field = fields
     try:
-        alts = tuple(a.strip() for a in alt_field.split(",") if a.strip())
-        return GazetteerEntry(name.strip(), alts, float(lat_field), float(lon_field))
+        alts = tuple(filter(None, map(str.strip, alt_field.split(","))))
+        return Poi(name.strip(), float(lat_field), float(lon_field)), alts
     except ValueError:
         return None
 
@@ -178,11 +184,11 @@ def load_gazetteer(path: str) -> Gazetteer:
     on the returned object; a file with zero valid rows is an error.
     Unreadable paths raise the underlying OSError.
     """
-    rows = read_tsv(path, _entry)
-    entries = [entry for entry in rows if entry is not None]
-    if not entries:
+    rows = read_tsv(path, _place)
+    places = [place for place in rows if place is not None]
+    if not places:
         raise EmptyGazetteerError(f"no valid gazetteer rows in {path}")
-    return build_gazetteer(entries, skipped_rows=len(rows) - len(entries))
+    return _build(places, skipped_rows=len(rows) - len(places))
 
 
 def levenshtein(a: str, b: str, limit: int | None = None) -> int:
@@ -227,7 +233,7 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
 
 
 def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
-    """Resolve a free-text name to the best-matching gazetteer entry.
+    """Resolve a free-text name to the best-matching gazetteer place's Poi.
 
     The winner minimizes edit distance between normalized names (canonical
     and alternates alike); ties prefer the lexicographically smaller
@@ -248,8 +254,8 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
     query = normalize_name(name)
     if not query:
         return None
-    entry = gaz.name_index.get(query)
-    if entry is None and max_edit > 0:
+    poi = gaz.name_index.get(query)
+    if poi is None and max_edit > 0:
         keys, lengths, hists = gaz.fuzzy_index
         # Code points each key can share with the query, one bucket at a time:
         # only the query's own buckets count.
@@ -273,5 +279,5 @@ def geocode(name: str, gaz: Gazetteer, max_edit: int = 1) -> Poi | None:
             limit = dist
             match = gaz.name_index[keys[row]]
             if best is None or (dist, match.name, row) < best:
-                best, entry = (dist, match.name, row), match
-    return None if entry is None else Poi(entry.name, entry.lat, entry.lon)
+                best, poi = (dist, match.name, row), match
+    return poi

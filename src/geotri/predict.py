@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import ProjectionOrigin, feature_components, origin_for_points
+from .gazetteer import _check_coords
 
 __all__ = [
     "AT_KM",
@@ -105,12 +106,14 @@ class Grid:
 
 
 def check_grid(bbox: tuple[float, float, float, float], dim: int) -> None:
-    """Reject ``dim`` < 2 and a (min_lat, min_lon, max_lat, max_lon) ``bbox`` not finite or with an empty extent."""
+    """Reject ``dim`` < 2 and a (min_lat, min_lon, max_lat, max_lon) ``bbox`` not finite, outside WGS84 or empty."""
     min_lat, min_lon, max_lat, max_lon = bbox
     if dim < 2:
         raise ValueError("grid dim must be >= 2")
     if not all(map(math.isfinite, bbox)):
         raise ValueError(f"non-finite bbox: {bbox}")
+    _check_coords(min_lat, min_lon, "bbox corner")
+    _check_coords(max_lat, max_lon, "bbox corner")
     if not (min_lat < max_lat and min_lon < max_lon):
         raise ValueError(f"degenerate bbox: {bbox}")
 
@@ -286,10 +289,14 @@ def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tupl
 
 
 def score_point(point, grid: Grid, models) -> PredictionSurface:
-    """Score every grid vertex and region as the location of ``point``; it may lie outside the grid's bbox."""
+    """Score every grid vertex and region as the location of ``point``.
+
+    ``point`` is a WGS84 (lat, lon); it may lie outside the grid's bbox.
+    """
     lat, lon = map(float, point)
     if not (math.isfinite(lat) and math.isfinite(lon)):
         raise ValueError(f"point ({lat}, {lon}) is not finite")
+    _check_coords(lat, lon, "point")
     tables = _scoring_tables(grid, models)
     labels, choices, best_log = _select_models(np.array([(lat, lon)]), grid, models)
     fused, peak = _score_block(grid, tables, choices)

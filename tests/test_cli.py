@@ -635,6 +635,10 @@ def test_predict_rejects_bad_bbox(models_dir, capsys):
         ("--point", "40.09,inf", "point (40.09, inf) is not finite"),
         ("--bbox", "-inf,116.0,40.18,116.235", "non-finite bbox"),
         ("--bbox", "40.0,116.0,nan,116.235", "non-finite bbox"),
+        # Finite but outside WGS84: these used to exit 0.
+        ("--point", "95,116.1", "point out of range: lat=95.0 lon=116.1"),
+        ("--bbox", "80,0,100,10", "bbox corner out of range: lat=100.0 lon=10.0"),
+        ("--bbox", "40,170,41,190", "bbox corner out of range: lat=41.0 lon=190.0"),
     ],
 )
 def test_predict_rejects_non_finite_point_and_bbox(models_dir, tmp_path, capsys, flag, value, message):
@@ -649,6 +653,15 @@ def test_predict_rejects_non_finite_point_and_bbox(models_dir, tmp_path, capsys,
     assert captured.err.count("\n") == 1
     assert message in captured.err
     assert not list(tmp_path.iterdir())
+
+
+def test_fuse_rejects_scenario_bbox_outside_wgs84(models_dir, tmp_path, capsys):
+    scenario = tmp_path / "scenario.tsv"
+    scenario.write_text("bbox\t80\t0\t100\t10\ndim\t5\nunknown\tx\t85\t5\nnear\tlm\t86\t6\n", encoding="utf-8")
+    code = run(["fuse", "--scenario", str(scenario), "--models", str(models_dir), "--out", str(tmp_path / "estimate")])
+    assert code == 1
+    assert f"{scenario}: bbox corner out of range: lat=100.0 lon=10.0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("estimate*"))
 
 
 def test_predict_accepts_finite_point_outside_bbox(models_dir, tmp_path, capsys):

@@ -198,7 +198,12 @@ _NESTED_GAZETTEER = build_gazetteer([GazetteerEntry(name, (), float(pos), 0.0) f
 @given(tagging_cases())
 def test_tagging_matches_window_geocode_tagger(case):
     gaz, tokens = case
-    assert tag_entities(tokens, gaz) == window_tagger(tokens, gaz)
+    spans = tag_entities(tokens, gaz)
+    assert spans == window_tagger(tokens, gaz)
+    # Each span holds the index's own Poi for its text, not a copy.
+    for span in spans:
+        key = normalize_name(" ".join(tokens[span.token_start : span.token_end]))
+        assert span.poi is gaz.name_index[key]
 
 
 def test_entity_span_rejects_bad_bounds():

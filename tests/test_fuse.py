@@ -103,6 +103,8 @@ def test_scenario_validation():
         ((40.1, 116.0, 40.1, 116.235), 15, "degenerate bbox"),
         ((40.0, 116.1, 40.18, 116.1), 15, "degenerate bbox"),
         ((40.18, 116.0, 40.0, 116.235), 15, "degenerate bbox"),
+        ((80.0, 0.0, 100.0, 10.0), 15, r"bbox corner out of range: lat=100\.0 lon=10\.0"),
+        ((40.0, 170.0, 41.0, 190.0), 15, r"bbox corner out of range: lat=41\.0 lon=190\.0"),
     ],
 )
 def test_scenario_rejects_grid_that_cannot_be_built(tmp_path, bbox, dim, message):

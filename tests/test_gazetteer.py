@@ -124,8 +124,11 @@ def test_name_index_holds_the_exact_winner():
     # Keys keep their first appearance; each holds the smallest canonical
     # name, the earliest listed among equal names.
     assert list(gaz.name_index) == ["zeta", "x", "alpha"]
-    assert [gaz.name_index[key] for key in ("zeta", "x", "alpha")] == [entries[0], entries[1], entries[1]]
-    assert geocode("X", gaz, max_edit=0) == Poi("Alpha", 2.0, 2.0)
+    zeta, alpha = Poi("Zeta", 1.0, 1.0), Poi("Alpha", 2.0, 2.0)
+    assert [gaz.name_index[key] for key in ("zeta", "x", "alpha")] == [zeta, alpha, alpha]
+    # One Poi per place, shared by all of its names.
+    assert gaz.name_index["x"] is gaz.name_index["alpha"]
+    assert geocode("X", gaz, max_edit=0) is gaz.name_index["alpha"]
 
 
 def test_poi_rejects_out_of_range_coordinates():
@@ -278,15 +281,29 @@ def gazetteer_entry_lists(draw):
 @settings(max_examples=300)
 @given(gazetteer_entry_lists(), _PLACE, st.integers(0, 4))
 def test_geocode_matches_brute_force_scan(entries, query, max_edit):
-    assert geocode(query, build_gazetteer(entries), max_edit) == brute_force_geocode(query, entries, max_edit)
+    gaz = build_gazetteer(entries)
+    poi = geocode(query, gaz, max_edit)
+    assert poi == brute_force_geocode(query, entries, max_edit)
+    # Exact and fuzzy answers alike are the index's own Poi, not a copy.
+    assert poi is None or any(poi is indexed for indexed in gaz.name_index.values())
 
 
 def test_load_single_row(tmp_path):
     path = tmp_path / "gaz.tsv"
     path.write_text("Boston\t\t42.36\t-71.06\n", encoding="utf-8")
     gaz = load_gazetteer(str(path))
-    assert gaz.name_index == {"boston": GazetteerEntry("Boston", (), 42.36, -71.06)}
+    assert gaz.name_index == {"boston": Poi("Boston", 42.36, -71.06)}
     assert gaz.skipped_rows == 0
+
+
+def test_load_builds_one_poi_per_place(tmp_path):
+    path = tmp_path / "gaz.tsv"
+    path.write_text("Boston\tBean Town, Beantown\t42.36\t-71.06\nAthens\t\t37.98\t23.73\n", encoding="utf-8")
+    gaz = load_gazetteer(str(path))
+    boston = gaz.name_index["boston"]
+    assert boston == Poi("Boston", 42.36, -71.06)
+    assert gaz.name_index["bean town"] is boston and gaz.name_index["beantown"] is boston
+    assert geocode("Bostn", gaz) is boston
 
 
 def test_load_counts_malformed_rows(tmp_path):
@@ -343,7 +360,8 @@ def test_fixture_every_canonical_name_resolves(gazetteer, gazetteer_entries):
 
 
 def test_fixture_index_maps_each_name_to_its_winner(gazetteer_entries):
-    for key, entry in build_gazetteer(gazetteer_entries).name_index.items():
+    for key, poi in build_gazetteer(gazetteer_entries).name_index.items():
         assert key == normalize_name(key)
         owners = [e for e in gazetteer_entries if key in map(normalize_name, (e.name, *e.alt_names))]
-        assert entry is min(owners, key=lambda owner: owner.name)
+        winner = min(owners, key=lambda owner: owner.name)
+        assert poi == Poi(winner.name, winner.lat, winner.lon)

@@ -109,6 +109,19 @@ def test_score_point_rejects_non_finite_point(point):
         score_point(point, grid, demo_models())
 
 
+@pytest.mark.parametrize("bbox", [(80.0, 0.0, 100.0, 10.0), (40.0, 170.0, 41.0, 190.0), (-91.0, 0.0, 0.0, 1.0)])
+def test_grid_rejects_bbox_outside_wgs84(bbox):
+    with pytest.raises(ValueError, match="bbox corner out of range"):
+        make_grid(bbox, 5)
+
+
+@pytest.mark.parametrize("point", [(95.0, 116.1), (40.05, -180.5), (-90.5, 116.1)])
+def test_score_point_rejects_point_outside_wgs84(point):
+    grid = make_grid(BBOX, 5)
+    with pytest.raises(ValueError, match=rf"point out of range: lat={point[0]} lon={point[1]}"):
+        score_point(point, grid, demo_models())
+
+
 def test_score_point_accepts_finite_point_outside_bbox():
     grid = make_grid(BBOX, 5)
     surface = score_point((BBOX[2] + 0.5, BBOX[1] - 0.5), grid, demo_models())

@@ -1,5 +1,6 @@
 """The shared TSV line rules: comments, path:line errors, and writer round trips."""
 
+import json
 import pathlib
 import re
 import tempfile
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geotri.atomic import read_tsv, write_tsv
+from geotri.atomic import read_text, read_tsv, write_tsv
+from geotri.cli import load_model
 from geotri.extract import Triplet, load_patterns, read_triplets_tsv, write_triplets_tsv
 from geotri.features import TrainingSet, load_feature_array, write_training_set
 from geotri.fuse import Scenario, load_scenario, save_scenario
@@ -55,6 +57,47 @@ def test_every_loader_reports_bytes_that_are_not_utf8_with_path_and_line(tmp_pat
     lineno = rest.count("\n") + 2
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: not UTF-8 text"):
         load(str(path))
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+MODEL_TEXT = json.dumps(
+    {"relation": "near", "component_count": 1,
+     "components": [{"weight": 1.0, "mean": [1.0, 2.0], "covariance": [4.0, 0.0, 0.0, 9.0]}]}
+)
+
+
+def _model_values(path):
+    model = load_model(path)
+    return model.relation, [(c.weight, c.mean.tolist(), c.covariance.tolist()) for c in model.components]
+
+
+# every kind of input file: its text and a reader whose results compare by value
+BOM_INPUTS = {
+    "corpus": ((FIXTURES / "corpus.txt").read_text(encoding="utf-8"), read_text),
+    "features": ("1.5\t90.0\n2.5\t180.0\n", lambda path: load_feature_array(path).tolist()),
+    "gazetteer": ((FIXTURES / "gazetteer.tsv").read_text(encoding="utf-8"), load_gazetteer),
+    "model": (MODEL_TEXT, _model_values),
+    "patterns": ((FIXTURES / "patterns.tsv").read_text(encoding="utf-8"), load_patterns),  # starts with a comment
+    "scenario": ((FIXTURES / "scenario_demo.tsv").read_text(encoding="utf-8"), load_scenario),
+    "triplets": ((FIXTURES / "triplets_100.tsv").read_text(encoding="utf-8"), read_triplets_tsv),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_INPUTS))
+def test_every_input_reads_the_same_after_a_leading_byte_order_mark(tmp_path, kind):
+    text, read = BOM_INPUTS[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert read(str(marked)) == read(str(plain))
+
+
+def test_bytes_that_are_not_utf8_after_a_byte_order_mark_report_their_file_offset(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"\xef\xbb\xbfa\tb\nc\xff\n")
+    with pytest.raises(ValueError, match=r"rows\.tsv:2: not UTF-8 text: invalid start byte at byte 8$"):
+        read_tsv(path, list)
 
 
 def test_read_tsv_reads_crlf_and_cr_line_ends_as_newlines(tmp_path):
