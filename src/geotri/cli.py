@@ -83,15 +83,18 @@ def load_model(path: str | Path) -> GmmModel:
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:
+        relation, count = payload["relation"], payload["component_count"]
+        if not isinstance(relation, str):
+            raise TypeError(f"relation must be a string, got {relation!r}")
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise TypeError(f"component_count must be an integer, got {count!r}")
         components = tuple(
             GaussianComponent(float(c["weight"]), c["mean"], c["covariance"])
             for c in payload["components"]
         )
-        model = GmmModel(str(payload["relation"]), components)
-        if int(payload["component_count"]) != model.component_count:
-            raise InvalidParameterError(
-                f"component_count {payload['component_count']} != {model.component_count}"
-            )
+        model = GmmModel(relation, components)
+        if count != model.component_count:
+            raise InvalidParameterError(f"component_count {count} != {model.component_count}")
         model.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: invalid model file: {exc}") from exc

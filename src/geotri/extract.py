@@ -19,6 +19,7 @@ ENTITY class for tagged mentions; anything unknown maps to UNK.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 from .atomic import read_tsv, write_tsv
@@ -109,8 +110,8 @@ def split_sentences(text: str) -> list[str]:
 
 
 def tokenize(sentence: str) -> list[str]:
-    """Words (apostrophes kept) and punctuation marks as separate tokens."""
-    return _TOKEN.findall(sentence)
+    """Words (apostrophes kept) and punctuation marks as separate tokens, of the sentence composed to NFC."""
+    return _TOKEN.findall(unicodedata.normalize("NFC", sentence))
 
 
 def token_class(token: str) -> str:

@@ -55,10 +55,9 @@ class TrainingSet:
 
     ``vectors`` is a record array with the float fields ``distance`` (km)
     and ``orientation`` (degrees in [0, 360), 0 at zero distance), one row
-    per triplet in triplet order.
+    per triplet in triplet order. ``build_training_sets`` keys each set by its label.
     """
 
-    relation: str
     vectors: np.recarray
 
     def __len__(self) -> int:
@@ -125,7 +124,7 @@ def build_training_sets(triplets, origin: ProjectionOrigin) -> dict[str, Trainin
     for label in dict.fromkeys(labels.tolist()):
         mask = labels == label
         vectors = np.rec.fromarrays([distance[mask], orientation[mask]], names="distance,orientation")
-        sets[label] = TrainingSet(label, vectors)
+        sets[label] = TrainingSet(vectors)
     return sets
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import mmap
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,17 +62,12 @@ class Poi:
 
 @dataclass(frozen=True)
 class GazetteerEntry:
-    """One place for ``build_gazetteer``: canonical name, alternate names, coordinate."""
+    """One place for ``build_gazetteer``, which checks it as a ``Poi``: canonical name, alternate names, coordinate."""
 
     name: str
     alt_names: tuple[str, ...]
     lat: float
     lon: float
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("entry name must be non-empty")
-        _check_coords(self.lat, self.lon)
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,12 @@ class Gazetteer:
 
 
 def normalize_name(name: str) -> str:
-    """Lowercase, replace punctuation with spaces, collapse whitespace."""
+    """Lowercase, compose to NFC, replace punctuation with spaces, collapse whitespace."""
     lowered = name.lower()
-    # Alphanumeric text is all word characters: there is nothing to replace.
-    return lowered if lowered.isalnum() else _SPACE.sub(" ", _PUNCT.sub(" ", lowered)).strip()
+    # ASCII alphanumeric text is all word characters and NFC; a non-ASCII letter may not be NFC (U+1F71).
+    if lowered.isalnum() and lowered.isascii():
+        return lowered
+    return _SPACE.sub(" ", _PUNCT.sub(" ", unicodedata.normalize("NFC", lowered))).strip()
 
 
 def _build(places, skipped_rows: int) -> Gazetteer:
@@ -133,9 +131,9 @@ def _build(places, skipped_rows: int) -> Gazetteer:
     return Gazetteer(name_index=index, skipped_rows=skipped_rows)
 
 
-def build_gazetteer(entries: list[GazetteerEntry], skipped_rows: int = 0) -> Gazetteer:
+def build_gazetteer(entries: list[GazetteerEntry]) -> Gazetteer:
     """Index each normalized name (first-seen order) to its winner's Poi: smallest canonical name, first listed."""
-    return _build([(Poi(e.name, e.lat, e.lon), e.alt_names) for e in entries], skipped_rows)
+    return _build([(Poi(e.name, e.lat, e.lon), e.alt_names) for e in entries], 0)
 
 
 def _code_points(text: str) -> np.ndarray:

@@ -116,6 +116,8 @@ class GmmModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
+        if not self.relation:
+            raise InvalidParameterError("relation label must be non-empty")
         if not self.components:
             raise InvalidParameterError("a model needs at least one component")
 
@@ -166,8 +168,6 @@ def derive_seed(base_seed: int, relation: str) -> int:
 
 def _as_points(data) -> np.ndarray:
     x = np.asarray(data, dtype=float)
-    if x.ndim == 1 and x.size == 2:
-        x = x.reshape(1, 2)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError(f"expected (n, 2) data, got shape {x.shape}")
     return x
@@ -285,14 +285,12 @@ def _m_step(resp: np.ndarray, x: np.ndarray, totals: np.ndarray) -> tuple[np.nda
     return means, _floor_covariance(covs), dx, dy
 
 
-def em_fit(data, model: GmmModel, history: list[float] | None = None) -> GmmModel:
+def em_fit(data, model: GmmModel) -> GmmModel:
     """Run EM from ``model`` until the log-likelihood improvement stalls.
 
     Stops when the per-iteration gain drops to ``EM_TOL`` relative or
-    after ``EM_MAX_ITER`` iterations. When ``history`` is supplied, the
-    log-likelihood observed at the start of every iteration is appended to
-    it (a non-decreasing sequence up to floating-point noise, since each
-    M-step maximizes the EM lower bound).
+    after ``EM_MAX_ITER`` iterations. Each M-step maximizes the EM lower
+    bound, so the log-likelihood never falls, up to floating-point noise.
     """
     x = _training_points(data)
     n = x.shape[0]
@@ -307,8 +305,6 @@ def em_fit(data, model: GmmModel, history: list[float] | None = None) -> GmmMode
         log_joint = _log_joint(dx, dy, terms)
         log_norm = _logsumexp(log_joint)
         loglik = float(log_norm.sum())
-        if history is not None:
-            history.append(loglik)
         if previous is not None and loglik - previous <= EM_TOL * max(1.0, abs(loglik)):
             break
         previous = loglik
@@ -441,9 +437,8 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
     current_ll = gmm_log_likelihood(x, current)
 
     while current.component_count < cfg.max_components and x.shape[0] > current.component_count:
+        # n > K points in K partitions: one partition holds two, so candidates exist.
         candidates = generate_candidates(x, current, rng)
-        if not candidates:
-            break
         _, best, _ = _refine_candidates(x, current.logpdf(*x.T), candidates)
         grown = em_fit(x, _insert_component(current, best))
         grown_ll = gmm_log_likelihood(x, grown)

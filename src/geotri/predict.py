@@ -67,14 +67,13 @@ class Grid:
 
     ``vertices`` holds (lat, lon) rows; vertex ``row * dim + col`` sits at
     the row-th latitude from the bottom and col-th longitude from the left.
-    ``regions`` holds the four vertex indices of each cell in the order
-    (bottom-left, bottom-right, top-left, top-right).
+    Region ``row * (dim - 1) + col`` is the cell whose bottom-left corner is
+    vertex ``row * dim + col``.
     """
 
     bbox: tuple[float, float, float, float]
     dim: int
     vertices: np.ndarray
-    regions: np.ndarray
     origin: ProjectionOrigin
 
     @property
@@ -100,9 +99,10 @@ class Grid:
         return self.region_average(self.vertices.T).T
 
     def region_average(self, vertex_values: np.ndarray) -> np.ndarray:
-        """Per region, the mean of its four corner values (summed in corner order) along the last axis."""
-        c, v = self.regions, vertex_values
-        return (v[..., c[:, 0]] + v[..., c[:, 1]] + v[..., c[:, 2]] + v[..., c[:, 3]]) / 4.0
+        """Per region along the last axis, (bottom-left + bottom-right + top-left + top-right) / 4, in that order."""
+        v = vertex_values.reshape(*vertex_values.shape[:-1], self.dim, self.dim)
+        total = v[..., :-1, :-1] + v[..., :-1, 1:] + v[..., 1:, :-1] + v[..., 1:, 1:]
+        return (total / 4.0).reshape(*vertex_values.shape[:-1], self.region_count)
 
 
 def check_grid(bbox: tuple[float, float, float, float], dim: int) -> None:
@@ -126,11 +126,8 @@ def make_grid(bbox: tuple[float, float, float, float], dim: int) -> Grid:
     lons = np.linspace(min_lon, max_lon, dim)
     grid_lon, grid_lat = np.meshgrid(lons, lats)
     vertices = np.column_stack([grid_lat.ravel(), grid_lon.ravel()])
-    cells = np.arange(dim - 1)
-    base = (cells[:, None] * dim + cells[None, :]).ravel()
-    regions = np.column_stack([base, base + 1, base + dim, base + dim + 1])
     origin = origin_for_points(((min_lat, min_lon), (max_lat, max_lon)))
-    return Grid(tuple(bbox), dim, vertices, regions, origin)
+    return Grid(tuple(bbox), dim, vertices, origin)
 
 
 @dataclass

@@ -5,7 +5,10 @@ Each ground-truth mixture is deliberately multimodal in distance and/or
 orientation, so a single Gaussian is mis-specified for it, and its mass is
 placed consistently with the ``predict.relation_holds`` predicates (proximity
 labels concentrate inside their distance thresholds, directional labels
-inside their sectors, orientations kept away from the 0/360 wrap).
+inside their sectors, mean orientations away from the 0/360 wrap). Samples
+are not folded into the feature space: at ``sample_training_data(2000, 0)``,
+5.1 % of "at" and 5.7 % of "near" orientations fall outside [0, 360) and
+0.75 % of "at" distances are negative (orientation as a circle: ROADMAP item 4).
 """
 
 from __future__ import annotations

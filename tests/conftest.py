@@ -1,9 +1,10 @@
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from geotri import load_gazetteer, load_patterns
+from geotri import load_gazetteer, load_patterns, mixture
 from geotri.gazetteer import GazetteerEntry
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -58,3 +59,19 @@ class UniformDensityModel:
 
     def logpdf(self, distance, orientation) -> np.ndarray:
         return np.zeros(np.shape(distance))
+
+
+def em_steps(data, model) -> list[float]:
+    """Log-likelihoods of a chain of one-iteration ``em_fit`` calls from ``model``, first one included.
+
+    The chain stops as ``em_fit`` itself does: when a step gains at most
+    ``EM_TOL`` relative, or after ``EM_MAX_ITER`` steps.
+    """
+    steps = [mixture.gmm_log_likelihood(data, model)]
+    for _ in range(mixture.EM_MAX_ITER):
+        with mock.patch.object(mixture, "EM_MAX_ITER", 1):
+            model = mixture.em_fit(data, model)
+        steps.append(mixture.gmm_log_likelihood(data, model))
+        if steps[-1] - steps[-2] <= mixture.EM_TOL * max(1.0, abs(steps[-1])):
+            break
+    return steps

@@ -272,6 +272,15 @@ def test_features_reports_bad_triplet_row_with_path_and_line(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_features_rejects_triplets_file_without_rows(tmp_path, capsys):
+    triplets = tmp_path / "triplets.tsv"
+    triplets.write_text("# subject\trelation\tobject\n", encoding="utf-8")
+    out_dir = tmp_path / "features"
+    assert run(["features", "--triplets", str(triplets), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"geotri features: no triplets in {triplets}\n"
+    assert not out_dir.exists()
+
+
 def test_features_refuses_its_triplets_as_a_label_file(fixtures_dir, tmp_path, capsys):
     out_dir = tmp_path / "features"
     out_dir.mkdir()
@@ -289,6 +298,14 @@ def test_failed_atomic_write_keeps_old_file(tmp_path):
         write_text(path, "new \ud800\n")  # a lone surrogate cannot be encoded
     assert path.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_train_rejects_empty_relation(feature_dir, tmp_path, capsys):
+    out = tmp_path / "empty.model"
+    argv = ["train", "--features", str(feature_dir / "near.tsv"), "--relation", "", "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "geotri train: relation label must be non-empty\n"
+    assert not out.exists()
 
 
 def test_train_is_byte_deterministic(feature_dir, tmp_path, capsys):
@@ -468,6 +485,43 @@ def test_invalid_model_payload_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # Each of these used to load: null as the label 'None', 5 as '5', "" as an empty label.
+        ("relation", None, "relation must be a string, got None"),
+        ("relation", 5, "relation must be a string, got 5"),
+        ("relation", "", "relation label must be non-empty"),
+        ("component_count", 1.9, "component_count must be an integer, got 1.9"),
+        ("component_count", True, "component_count must be an integer, got True"),
+        ("component_count", "1", "component_count must be an integer, got '1'"),
+        ("component_count", 2, "component_count 2 != 1"),
+    ],
+)
+def test_model_file_with_wrong_relation_or_count_is_rejected_with_path(tmp_path, field, value, message):
+    component = {"weight": 1.0, "mean": [1.0, 90.0], "covariance": [1.0, 0.0, 0.0, 1.0]}
+    payload = {"relation": "near", "component_count": 1, "components": [component], field: value}
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFileError) as raised:
+        load_model(path)
+    assert str(raised.value) == f"{path}: invalid model file: {message}"
+
+
+def test_predict_rejects_models_directory_with_null_relation(models_dir, tmp_path, capsys):
+    # geotri predict used to exit 0 with this file loaded as the label 'None'.
+    models = tmp_path / "models"
+    models.mkdir()
+    text = (models_dir / "near.model").read_text(encoding="utf-8")
+    (models / "near.model").write_text(text.replace('"near"', "null"), encoding="utf-8")
+    argv = ["predict", "--models", str(models), "--bbox", "40.0,116.0,40.18,116.235", "--point", "40.09,116.12"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "invalid model file: relation must be a string, got None"
+    assert captured.err == f"geotri predict: {models / 'near.model'}: {message}\n"
+
+
 def test_non_finite_model_parameter_rejected_with_path(tmp_path):
     path = tmp_path / "nan.model"
     component = {"weight": 1.0, "mean": [float("nan"), 90.0], "covariance": [1.0, 0.0, 0.0, 1.0]}
@@ -639,6 +693,8 @@ def test_predict_rejects_bad_bbox(models_dir, capsys):
         ("--point", "95,116.1", "point out of range: lat=95.0 lon=116.1"),
         ("--bbox", "80,0,100,10", "bbox corner out of range: lat=100.0 lon=10.0"),
         ("--bbox", "40,170,41,190", "bbox corner out of range: lat=41.0 lon=190.0"),
+        # Three fields are not a point.
+        ("--point", "40.09,116.12,3", "point must be lat,lon"),
     ],
 )
 def test_predict_rejects_non_finite_point_and_bbox(models_dir, tmp_path, capsys, flag, value, message):

@@ -2,6 +2,7 @@
 
 import pathlib
 import tempfile
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +54,23 @@ def test_tokenize_separates_punctuation():
     assert tokenize("Rio de Janeiro, which is in Brazil.") == [
         "Rio", "de", "Janeiro", ",", "which", "is", "in", "Brazil", ".",
     ]
+
+
+def test_tokenize_composes_decomposed_letters():
+    decomposed = unicodedata.normalize("NFD", "Santos lies near São Paulo.")
+    assert decomposed != "Santos lies near São Paulo."
+    assert tokenize(decomposed) == ["Santos", "lies", "near", "São", "Paulo", "."]
+
+
+@pytest.mark.parametrize("text_form", ["NFC", "NFD"])
+@pytest.mark.parametrize("gazetteer_form", ["NFC", "NFD"])
+def test_extract_matches_names_in_either_unicode_form(patterns, text_form, gazetteer_form):
+    sao_paulo = unicodedata.normalize(gazetteer_form, "São Paulo")
+    gaz = build_gazetteer([GazetteerEntry("Santos", (), -23.96, -46.33), GazetteerEntry(sao_paulo, (), -23.55, -46.63)])
+    text = unicodedata.normalize(text_form, "Santos lies near São Paulo.")
+    triplets = extract_triplets([text], gaz, patterns)
+    # The place keeps the gazetteer's spelling.
+    assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == [("Santos", "near", sao_paulo)]
 
 
 def test_token_classes():

@@ -285,7 +285,7 @@ def test_label_filenames_reject_a_label_that_is_no_plain_file_name(label):
 def test_training_set_round_trip(tmp_path):
     vectors = np.rec.fromrecords([(1.25, 45.5), (0.5, 275.125)], names="distance,orientation")
     path = tmp_path / "near.tsv"
-    write_training_set(TrainingSet("near", vectors), str(path))
+    write_training_set(TrainingSet(vectors), str(path))
     array = load_feature_array(str(path))
     assert array.shape == (2, 2)
     assert array.tolist() == [[1.25, 45.5], [0.5, 275.125]]

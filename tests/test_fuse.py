@@ -147,6 +147,21 @@ def test_fuse_accepts_any_model_with_logpdf(fusion):
     np.testing.assert_allclose(estimate.region_likelihoods, 1.0 / estimate.grid.region_count, rtol=1e-12, atol=0)
 
 
+class NowhereModel:
+    """Stub model whose density underflows everywhere (log density -inf)."""
+
+    def logpdf(self, distance, orientation) -> np.ndarray:
+        return np.full(np.shape(distance), -np.inf)
+
+
+@pytest.mark.parametrize("fusion", ["product", "sum"])
+def test_fuse_rejects_observations_that_all_underflow(fusion):
+    scenario = consistent_scenario(6, 0)
+    models = {label: NowhereModel() for label, _ in scenario.observations}
+    with pytest.raises(ValueError, match="^all observations underflowed on every grid vertex$"):
+        fuse(scenario, models, fusion=fusion)
+
+
 def test_fuse_region_mass_normalized():
     estimate = fuse(demo_scenario(), synthetic_city_models(), fraction=1.0, seed=0)
     assert math.fsum(estimate.region_likelihoods.tolist()) == pytest.approx(1.0, abs=1e-9)
@@ -381,6 +396,12 @@ def test_consistent_scenario_matches_golden_digest():
     assert digest.hexdigest() == "0f69d30bbd5d4453bf8ff3433164e98fa42ad7a021f4e1fab3a2d02426c4b54a"
 
 
+def test_consistent_scenario_fails_when_no_landmark_lands_near_the_hidden_point():
+    # Over this box almost no draw lies within 16 km of the hidden point.
+    with pytest.raises(RuntimeError, match="rejection sampling failed to place landmarks"):
+        consistent_scenario(1, 0, bbox=(-60.0, -120.0, 60.0, 120.0))
+
+
 def test_scenario_fixture_loads(fixtures_dir):
     scenario = load_scenario(str(fixtures_dir / "scenario_demo.tsv"))
     assert len(scenario.observations) == 40
@@ -400,6 +421,15 @@ def test_load_scenario_reports_line_numbers(tmp_path):
     path = tmp_path / "scenario.tsv"
     path.write_text("bbox\t40.0\t116.0\t40.18\t116.235\ndim\tfifteen\n", encoding="utf-8")
     with pytest.raises(ValueError, match="scenario.tsv:2"):
+        load_scenario(str(path))
+
+
+def test_load_scenario_rejects_line_of_two_fields(tmp_path):
+    path = tmp_path / "scenario.tsv"
+    save_scenario(demo_scenario(), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:5] + ["near\tlm"] + lines[5:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"scenario\.tsv:6: unrecognized line$"):
         load_scenario(str(path))
 
 

@@ -1,6 +1,7 @@
 """Gazetteer loading, name normalization, edit distance, and geocoding."""
 
 import re
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -107,11 +108,23 @@ def test_normalize_lowercases_and_collapses_whitespace():
 
 @example("İstanbul")
 @example("ΑΣ b_1")
+@example("Sa\u0303o Paulo")
+@example("\u1f71")
 @given(st.text(max_size=12))
 def test_normalize_matches_the_two_pass_definition(name):
-    # Lowercase, punctuation runs to one space, whitespace runs to one space, strip.
-    expected = re.sub(r"\s+", " ", re.sub(r"[^\w\s]+", " ", name.lower())).strip()
+    # Lowercase, compose to NFC, punctuation runs to one space, whitespace runs to one space, strip.
+    composed = unicodedata.normalize("NFC", name.lower())
+    expected = re.sub(r"\s+", " ", re.sub(r"[^\w\s]+", " ", composed)).strip()
     assert normalize_name(name) == expected
+
+
+@pytest.mark.parametrize("form", ["NFC", "NFD"])
+def test_decomposed_and_composed_names_index_and_geocode_alike(form):
+    # A decomposed "ã" is "a" plus a combining tilde, which is not a word character.
+    gaz = build_gazetteer([GazetteerEntry(unicodedata.normalize(form, "São Paulo"), (), -23.55, -46.63)])
+    assert list(gaz.name_index) == ["são paulo"]
+    for query in ("São Paulo", unicodedata.normalize("NFD", "São Paulo")):
+        assert geocode(query, gaz, max_edit=0) is gaz.name_index["são paulo"]
 
 
 def test_name_index_holds_the_exact_winner():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -38,6 +39,8 @@ from geotri.mixture import (
     greedy_train,
 )
 from geotri.synth import sample_mixture, sample_training_data, synthetic_city_models
+
+from conftest import em_steps
 
 
 def naive_log_likelihood(x: np.ndarray, model: GmmModel) -> float:
@@ -206,6 +209,28 @@ def test_log_likelihood_rejects_empty_data():
         gmm_log_likelihood(np.empty((0, 2)), model)
 
 
+@pytest.mark.parametrize("shape", [(2,), (3,), (4, 3), (2, 2, 2)])
+def test_log_likelihood_rejects_data_not_n_by_2(shape):
+    # A lone (2,) point is not read as one row either.
+    model = GmmModel("near", (GaussianComponent(1.0, [0.0, 0.0], np.eye(2)),))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'expected (n, 2) data, got shape {shape}')}$"):
+        gmm_log_likelihood(np.ones(shape), model)
+
+
+def test_model_needs_relation_label():
+    with pytest.raises(InvalidParameterError, match="relation label must be non-empty"):
+        GmmModel("", (GaussianComponent(1.0, [0.0, 0.0], np.eye(2)),))
+
+
+def test_em_rejects_covariance_that_overflows():
+    # Finite data whose squared spread overflows: the M-step covariance is NaN.
+    x = np.random.default_rng(0).normal(size=(50, 2))
+    x[0] = [1e200, 0.0]
+    start = GmmModel("r", (GaussianComponent(1.0, [0.0, 0.0], np.eye(2)),))
+    with pytest.warns(RuntimeWarning), pytest.raises(InvalidParameterError, match=r"not positive definite: \[\[\[nan"):
+        em_fit(x, start)
+
+
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(max_components=0)
@@ -239,9 +264,8 @@ def test_em_history_non_decreasing():
                 GaussianComponent(0.5, x[1], np.eye(2) * 4.0),
             ),
         )
-        history: list[float] = []
-        em_fit(x, start, history=history)
-        for earlier, later in zip(history, history[1:]):
+        steps = em_steps(x, start)
+        for earlier, later in zip(steps, steps[1:]):
             assert later >= earlier - 1e-8 * max(1.0, abs(earlier))
 
 
@@ -360,9 +384,8 @@ def test_em_monotone_for_random_seeds(seed):
             GaussianComponent(0.4, x[1], np.eye(2) * 2.0),
         ),
     )
-    history: list[float] = []
-    em_fit(x, start, history=history)
-    assert all(b >= a - 1e-8 * max(1.0, abs(a)) for a, b in zip(history, history[1:]))
+    steps = em_steps(x, start)
+    assert all(b >= a - 1e-8 * max(1.0, abs(a)) for a, b in zip(steps, steps[1:]))
 
 
 # Greedy fits pinned at max_components=5: the four synthetic city labels at

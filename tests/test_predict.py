@@ -31,6 +31,17 @@ BBOX = CITY_BBOX
 KERNEL_BBOXES = [CITY_BBOX, (40.0, 116.0, 40.06, 116.35), (59.9, 10.6, 60.08, 10.95)]
 
 
+def corner_table(dim: int) -> np.ndarray:
+    """Per region, its (bottom-left, bottom-right, top-left, top-right) vertex indices, one cell at a time."""
+    cells = dim - 1
+    table = np.empty((cells * cells, 4), dtype=int)
+    for row in range(cells):
+        for col in range(cells):
+            base = row * dim + col
+            table[row * cells + col] = (base, base + 1, base + dim, base + dim + 1)
+    return table
+
+
 def diag_model(relation: str, mean, var_d: float, var_o: float, weight: float = 1.0) -> GmmModel:
     cov = np.array([[var_d, 0.0], [0.0, var_o]])
     return GmmModel(relation, (GaussianComponent(weight, mean, cov),))
@@ -48,7 +59,6 @@ def test_grid_dimension_counts():
     assert grid.vertex_count == 225
     assert grid.region_count == 196
     assert grid.vertices.shape == (225, 2)
-    assert grid.regions.shape == (196, 4)
 
 
 def test_grid_traversal_starts_bottom_left():
@@ -63,7 +73,7 @@ def test_grid_traversal_starts_bottom_left():
 
 def test_grid_region_corner_order():
     grid = make_grid(BBOX, 3)
-    bl, br, tl, tr = grid.regions[0]
+    bl, br, tl, tr = corner_table(grid.dim)[0]
     assert grid.vertices[bl][0] == grid.vertices[br][0]
     assert grid.vertices[tl][0] == grid.vertices[tr][0]
     assert grid.vertices[bl][1] == grid.vertices[tl][1]
@@ -73,15 +83,20 @@ def test_grid_region_corner_order():
 
 @pytest.mark.parametrize("dim", [2, 3, 15, 30, 60])
 def test_grid_regions_match_corner_loop(dim):
-    regions = make_grid(BBOX, dim).regions
-    cells = dim - 1
-    expected = np.empty((cells * cells, 4), dtype=int)
-    for row in range(cells):
-        for col in range(cells):
-            base = row * dim + col
-            expected[row * cells + col] = (base, base + 1, base + dim, base + dim + 1)
-    assert regions.dtype == expected.dtype
-    assert np.array_equal(regions, expected)
+    """Region averages and centres are bitwise the corner-table sums, in corner order."""
+    grid = make_grid(BBOX, dim)
+    c = corner_table(dim)
+
+    def oracle(v):
+        return (v[..., c[:, 0]] + v[..., c[:, 1]] + v[..., c[:, 2]] + v[..., c[:, 3]]) / 4.0
+
+    rng = np.random.default_rng(dim)
+    for shape in [(grid.vertex_count,), (7, grid.vertex_count), (2, grid.vertex_count)]:
+        values = rng.random(shape) ** rng.integers(1, 41, shape)
+        got, want = grid.region_average(values), oracle(values)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got, want = grid.region_centers(), oracle(grid.vertices.T).T
+    assert got.shape == (grid.region_count, 2) and got.tobytes() == want.tobytes()
 
 
 def test_grid_validation():
@@ -148,7 +163,7 @@ def test_surface_vertex_mass_normalized():
 def test_surface_regions_match_corner_average_oracle():
     grid = make_grid(BBOX, 9)
     surface = score_point((40.05, 116.2), grid, demo_models())
-    for index, corners in enumerate(grid.regions):
+    for index, corners in enumerate(corner_table(grid.dim)):
         oracle = (
             surface.fused_vertex[corners[0]]
             + surface.fused_vertex[corners[1]]
@@ -439,6 +454,11 @@ def test_true_region_ranks_match_stable_order_on_tied_surfaces():
         assert rank == region_ranking(row).index(grid.region_containing(point[0], point[1]))
 
 
+def test_prediction_trial_needs_a_point():
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        prediction_trial(demo_models(), BBOX, 7, 0, seed=1)
+
+
 @pytest.mark.parametrize("k", [0, 37])
 def test_prediction_accuracy_rejects_bad_k_before_scoring(k, monkeypatch):
     def fail(*args):
@@ -490,7 +510,7 @@ def reference_csv(grid, region_likelihoods) -> str:
 def reference_geojson(grid, region_likelihoods) -> str:
     """The surface FeatureCollection built as dicts and encoded by ``json.dumps``."""
     cells = grid.dim - 1
-    vertices, regions = grid.vertices.tolist(), grid.regions.tolist()
+    vertices, regions = grid.vertices.tolist(), corner_table(grid.dim).tolist()
     features = []
     for index, value in enumerate(region_likelihoods):
         bl, br, tl, tr = regions[index]

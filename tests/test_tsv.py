@@ -125,6 +125,29 @@ def test_triplet_row_checks_report_path_and_line(tmp_path, row, message):
         read_triplets_tsv(str(path))
 
 
+@pytest.mark.parametrize(
+    "kind, row",
+    [
+        ("gazetteer", "\t\t40.1\t116.1"),
+        ("triplets", "\tnear\tB\t40.1\t116.1\t40.2\t116.2"),
+        ("triplets", "A\tnear\t\t40.1\t116.1\t40.2\t116.2"),
+        ("scenario", "near\t\t40.1\t116.1"),
+        ("scenario", "unknown\t\t40.1\t116.1"),
+    ],
+)
+def test_every_place_loader_refuses_an_empty_name(tmp_path, kind, row):
+    load, _, good, rest = LOADERS[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(f"{rest}{good}\n{row}\n", encoding="utf-8")
+    if kind == "gazetteer":  # the gazetteer skips the row and counts it
+        gaz = load_gazetteer(str(path))
+        assert (list(gaz.name_index), gaz.skipped_rows) == (["boston"], 1)
+        return
+    lineno = rest.count("\n") + 2
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: POI name must be non-empty$"):
+        load(str(path))
+
+
 def test_save_scenario_rejects_label_that_reads_back_as_comment(tmp_path):
     near = Poi("lm", 40.1, 116.1)
     scenario = Scenario(Poi("x", 40.1, 116.1), (("near", near), ("#near", near)), (40.0, 116.0, 40.2, 116.2), 5)
@@ -154,7 +177,7 @@ def test_triplet_writer_rejects_name_with_tab(tmp_path):
 def test_feature_writer_writes_numpy_floats_as_plain_numbers(tmp_path):
     path = tmp_path / "near.tsv"
     vectors = np.rec.fromarrays([np.array([1.25]), np.array([45.5])], names="distance,orientation")
-    write_training_set(TrainingSet("near", vectors), str(path))
+    write_training_set(TrainingSet(vectors), str(path))
     assert path.read_text(encoding="utf-8") == "1.25\t45.5\n"
     assert load_feature_array(str(path)).tolist() == [[1.25, 45.5]]
 
