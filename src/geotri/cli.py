@@ -76,6 +76,11 @@ def save_model(model: GmmModel, path: str | Path) -> None:
     write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: a bool is an int to Python but not a number to JSON."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_model(path: str | Path) -> GmmModel:
     """Parse and validate a model file written by ``save_model``."""
     try:
@@ -88,15 +93,21 @@ def load_model(path: str | Path) -> GmmModel:
             raise TypeError(f"relation must be a string, got {relation!r}")
         if not isinstance(count, int) or isinstance(count, bool):
             raise TypeError(f"component_count must be an integer, got {count!r}")
-        components = tuple(
-            GaussianComponent(float(c["weight"]), c["mean"], c["covariance"])
-            for c in payload["components"]
-        )
+        components = []
+        for c in payload["components"]:
+            weight = c["weight"]
+            if not _is_number(weight):
+                raise TypeError(f"weight must be a number, got {weight!r}")
+            for field, size in (("mean", 2), ("covariance", 4)):
+                value = c[field]
+                if not (isinstance(value, list) and len(value) == size and all(map(_is_number, value))):
+                    raise TypeError(f"{field} must be an array of {size} numbers, got {value!r}")
+            components.append(GaussianComponent(float(weight), c["mean"], c["covariance"]))
         model = GmmModel(relation, components)
         if count != model.component_count:
             raise InvalidParameterError(f"component_count {count} != {model.component_count}")
         model.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: invalid model file: {exc}") from exc
     return model
 

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 EARTH_RADIUS_KM = 6371.0
+# The largest distance ``feature_components`` returns for WGS84 endpoints: a
+# longitude gap of at most 360 degrees spans at most 2 pi R east-west (the
+# cos(lat0) factor is at most 1) and a latitude gap of at most 180 spans pi R.
+_MAX_DISTANCE_KM = math.hypot(2.0 * math.pi * EARTH_RADIUS_KM, math.pi * EARTH_RADIUS_KM)
 
 
 @dataclass(frozen=True)
@@ -153,13 +157,17 @@ def write_training_set(training_set: TrainingSet, path) -> None:
 def _feature_row(fields: list[str]) -> tuple[float, float]:
     if len(fields) != 2:
         raise ValueError(f"expected 2 columns, got {len(fields)}")
-    row = (float(fields[0]), float(fields[1]))
-    if not all(map(math.isfinite, row)):
+    distance, orientation = float(fields[0]), float(fields[1])
+    if not (math.isfinite(distance) and math.isfinite(orientation)):
         raise ValueError(f"non-finite feature value: {fields[0]}\t{fields[1]}")
-    return row
+    if not 0.0 <= distance <= _MAX_DISTANCE_KM:
+        raise ValueError(f"distance {fields[0]} km outside [0, {_MAX_DISTANCE_KM:.0f}]")
+    if not 0.0 <= orientation < 360.0:
+        raise ValueError(f"orientation {fields[1]} degrees outside [0, 360)")
+    return distance, orientation
 
 
 def load_feature_array(path: str) -> np.ndarray:
-    """Read a training-set TSV back into an (n, 2) array of finite values."""
+    """Read a training-set TSV back into an (n, 2) array of in-range (distance, orientation) rows."""
     rows = read_tsv(path, _feature_row)
     return np.array(rows, dtype=float) if rows else np.empty((0, 2), dtype=float)

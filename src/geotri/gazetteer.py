@@ -189,8 +189,8 @@ def load_gazetteer(path: str) -> Gazetteer:
     return _build(places, skipped_rows=len(rows) - len(places))
 
 
-def levenshtein(a: str, b: str, limit: int | None = None) -> int:
-    """Edit distance (insertions, deletions, substitutions all cost 1).
+def levenshtein(a: str, b: str, limit: int) -> int:
+    """Edit distance (insertions, deletions, substitutions all cost 1), capped at ``limit + 1``.
 
     With ``limit=k`` the result is exact when it is at most k and k + 1
     otherwise. Only the diagonals t = j - i with |t| + |t + len(a) - len(b)|
@@ -198,14 +198,12 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
     1985), and the scan stops at the first row whose band exceeds k, because
     cells never decrease along an edit path.
     """
-    if limit is not None:
-        _check_count("limit", limit)
+    _check_count("limit", limit)
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    k = len(a) if limit is None else limit
-    m, skew = len(b), len(a) - len(b)
+    k, m, skew = limit, len(b), len(a) - len(b)
     if skew > k:
         return k + 1
     over, below, above = k + 1, (k + skew) // 2, (k - skew) // 2

@@ -166,20 +166,15 @@ def derive_seed(base_seed: int, relation: str) -> int:
     return base_seed ^ zlib.crc32(relation.encode("utf-8"))
 
 
-def _as_points(data) -> np.ndarray:
+def _points(data) -> np.ndarray:
+    """``data`` as an (n, 2) float array, rejecting a row with a NaN or infinity by index."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError(f"expected (n, 2) data, got shape {x.shape}")
-    return x
-
-
-def _training_points(data) -> np.ndarray:
-    """``_as_points`` for training data, rejecting a row with a NaN or infinity by index."""
-    x = _as_points(data)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise ValueError(f"training data row {row} is not finite: {x[row].tolist()}")
+        raise ValueError(f"data row {row} is not finite: {x[row].tolist()}")
     return x
 
 
@@ -221,9 +216,10 @@ def gmm_log_likelihood(data, model: GmmModel) -> float:
     """Total log-likelihood of ``data`` under ``model``.
 
     Points with zero density under every component contribute -inf, which
-    propagates to the returned value rather than raising.
+    propagates to the returned value rather than raising; a row with a NaN
+    or infinity raises ``ValueError`` naming it.
     """
-    x = _as_points(data)
+    x = _points(data)
     if x.shape[0] == 0:
         raise ValueError("data must be non-empty")
     return float(np.sum(model.logpdf(*x.T)))
@@ -292,7 +288,7 @@ def em_fit(data, model: GmmModel) -> GmmModel:
     after ``EM_MAX_ITER`` iterations. Each M-step maximizes the EM lower
     bound, so the log-likelihood never falls, up to floating-point noise.
     """
-    x = _training_points(data)
+    x = _points(data)
     n = x.shape[0]
     if n < model.component_count:
         raise InsufficientDataError(
@@ -328,7 +324,7 @@ def generate_candidates(data, model: GmmModel, rng: np.random.Generator) -> list
     covariance scaled by 1/2 (floored). Candidates carry the insertion
     weight 1/2.
     """
-    x = _training_points(data)
+    x = _points(data)
     terms = model._density
     assignment = np.argmax(_log_joint(x[:, 0] - terms[1], x[:, 1] - terms[2], terms), axis=0)
     candidates: list[GaussianComponent] = []
@@ -421,10 +417,11 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
     weight starting at 1/2), inserts the surviving one with the best mixed
     log-likelihood (the first on a tie), refits with full EM, and accepts
     the grown model only when it clears ``ACCEPT_TOL`` relative
-    improvement; otherwise the previous model is returned. Identical data, config, and seed reproduce
-    the model bit for bit.
+    improvement; otherwise the previous model is returned. Each model's log-density at the points is
+    computed once: its sum is the acceptance total and the array the next round's frozen base.
+    Identical data, config, and seed reproduce the model bit for bit.
     """
-    x = _training_points(data)
+    x = _points(data)
     if x.shape[0] < 2:
         raise InsufficientDataError("greedy training needs at least 2 points")
     rng = np.random.default_rng(cfg.seed)
@@ -434,15 +431,16 @@ def greedy_train(data, relation: str, cfg: TrainingConfig) -> GmmModel:
         (GaussianComponent(1.0, x.mean(axis=0), _floor_covariance(np.cov(x.T, ddof=0))),),
     )
     current = em_fit(x, start)
-    current_ll = gmm_log_likelihood(x, current)
+    current_logpdf = current.logpdf(*x.T)
 
     while current.component_count < cfg.max_components and x.shape[0] > current.component_count:
         # n > K points in K partitions: one partition holds two, so candidates exist.
         candidates = generate_candidates(x, current, rng)
-        _, best, _ = _refine_candidates(x, current.logpdf(*x.T), candidates)
+        _, best, _ = _refine_candidates(x, current_logpdf, candidates)
         grown = em_fit(x, _insert_component(current, best))
-        grown_ll = gmm_log_likelihood(x, grown)
+        grown_logpdf = grown.logpdf(*x.T)
+        current_ll, grown_ll = float(np.sum(current_logpdf)), float(np.sum(grown_logpdf))
         if grown_ll <= current_ll + ACCEPT_TOL * max(1.0, abs(current_ll)):
             break
-        current, current_ll = grown, grown_ll
+        current, current_logpdf = grown, grown_logpdf
     return current

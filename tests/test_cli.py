@@ -372,6 +372,29 @@ def test_train_rejects_non_finite_feature_row(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # 1e200 used to fail inside EM after three numpy RuntimeWarnings, naming no file;
+        # the other rows used to train and exit 0.
+        ("1e200\t0", "distance 1e200 km outside [0, 44755]"),
+        ("44756\t0", "distance 44756 km outside [0, 44755]"),
+        ("-3.0\t30.0", "distance -3.0 km outside [0, 44755]"),
+        ("1.0\t-5.0", "orientation -5.0 degrees outside [0, 360)"),
+        ("2.0\t365.0", "orientation 365.0 degrees outside [0, 360)"),
+        ("2.0\t360", "orientation 360 degrees outside [0, 360)"),
+    ],
+)
+def test_train_rejects_a_feature_row_outside_the_feature_space(tmp_path, capsys, row, message):
+    features = tmp_path / "near.tsv"
+    features.write_text(f"1.5\t90.0\n{row}\n2.5\t180.0\n3.5\t0.0\n", encoding="utf-8")
+    out = tmp_path / "near.model"
+    assert run(["train", "--features", str(features), "--relation", "near", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"geotri train: {features}:2: {message}\n"
+    assert not out.exists()
+
+
 def test_train_reports_bad_feature_row_with_path_and_line(tmp_path, capsys):
     features = tmp_path / "near.tsv"
     features.write_text("\n# distance\torientation\nabc\t45.0\n", encoding="utf-8")
@@ -501,6 +524,33 @@ def test_invalid_model_payload_rejected(tmp_path):
 def test_model_file_with_wrong_relation_or_count_is_rejected_with_path(tmp_path, field, value, message):
     component = {"weight": 1.0, "mean": [1.0, 90.0], "covariance": [1.0, 0.0, 0.0, 1.0]}
     payload = {"relation": "near", "component_count": 1, "components": [component], field: value}
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFileError) as raised:
+        load_model(path)
+    assert str(raised.value) == f"{path}: invalid model file: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # Each of these used to load: true as weight 1.0, strings as numbers, a nested covariance.
+        ("weight", True, "weight must be a number, got True"),
+        ("weight", "1.0", "weight must be a number, got '1.0'"),
+        ("weight", None, "weight must be a number, got None"),
+        pytest.param("weight", 10**400, "int too large to convert to float", id="weight-10**400"),
+        ("mean", ["1.0", "2.0"], "mean must be an array of 2 numbers, got ['1.0', '2.0']"),
+        ("mean", [False, 90.0], "mean must be an array of 2 numbers, got [False, 90.0]"),
+        ("mean", [1.0], "mean must be an array of 2 numbers, got [1.0]"),
+        ("mean", 1.0, "mean must be an array of 2 numbers, got 1.0"),
+        ("covariance", [[1.0, 0.0], [0.0, 1.0]], "covariance must be an array of 4 numbers, got [[1.0, 0.0], [0.0, 1.0]]"),
+        ("covariance", [1.0, 0.0, 0.0, True], "covariance must be an array of 4 numbers, got [1.0, 0.0, 0.0, True]"),
+        ("covariance", "1 0 0 1", "covariance must be an array of 4 numbers, got '1 0 0 1'"),
+    ],
+)
+def test_model_file_with_a_mistyped_component_field_is_rejected_with_path(tmp_path, field, value, message):
+    component = {"weight": 1.0, "mean": [1.0, 90.0], "covariance": [1.0, 0.0, 0.0, 1.0], field: value}
+    payload = {"relation": "near", "component_count": 1, "components": [component]}
     path = tmp_path / "bad.model"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ModelFileError) as raised:

@@ -298,6 +298,17 @@ def test_load_feature_array_rejects_bad_rows(tmp_path):
         load_feature_array(str(path))
 
 
+def test_load_feature_array_accepts_the_extremes_feature_components_writes(tmp_path):
+    # Endpoints a full longitude and latitude range apart, seen from the equator, are the farthest.
+    far = feature_components(90.0, 180.0, -90.0, -180.0, ProjectionOrigin(0.0, 0.0))
+    rows = [tuple(map(float, far)), (0.0, 0.0), (1.0, np.nextafter(360.0, 0.0))]
+    vectors = np.rec.fromrecords(rows, names="distance,orientation")
+    path = tmp_path / "near.tsv"
+    write_training_set(TrainingSet(vectors), str(path))
+    assert load_feature_array(str(path)).tolist() == [list(row) for row in rows]
+    assert 44755.0 < rows[0][0] < 44756.0
+
+
 @pytest.mark.parametrize("row", ["nan\t90.0", "1.0\tinf", "-inf\t0.0", "1.0\tNaN"])
 def test_load_feature_array_rejects_non_finite_values(tmp_path, row):
     path = tmp_path / "bad.tsv"

@@ -798,6 +798,8 @@ def test_training_rejects_non_finite_rows_by_index(bad):
         lambda: greedy_train(x, "r", cfg),
         lambda: em_fit(x, model),
         lambda: generate_candidates(x, model, np.random.default_rng(0)),
+        # gmm_log_likelihood used to return nan here.
+        lambda: gmm_log_likelihood(x, model),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
