@@ -6,6 +6,7 @@ directory, then rename), and never mutates its inputs. Exit codes: 0 on
 success, 1 on validation or usage errors, 2 on I/O errors. The default
 seed comes from the GEOTRI_SEED environment variable (0 when unset),
 read only by modes that draw random numbers; ``predict --point`` draws none.
+A negative seed, given or from the environment, is a usage error.
 """
 
 from __future__ import annotations
@@ -140,14 +141,17 @@ def _summary(**pairs) -> None:
 
 
 def _seed(given: int | None) -> int:
-    """``given`` (a ``--seed`` value) unless None, else GEOTRI_SEED, else 0."""
-    if given is not None:
-        return given
-    text = os.environ.get("GEOTRI_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"GEOTRI_SEED must be an integer, got {text!r}") from None
+    """``given`` (a ``--seed`` value) unless None, else GEOTRI_SEED, else 0; a negative seed is an error."""
+    source, text = "--seed", given
+    if given is None:
+        source, text = "GEOTRI_SEED", os.environ.get("GEOTRI_SEED", "0")
+        try:
+            given = int(text)
+        except ValueError:
+            raise ValueError(f"GEOTRI_SEED must be an integer, got {text!r}") from None
+    if given < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return given
 
 
 def _check_outputs(outputs, inputs) -> None:
@@ -158,26 +162,20 @@ def _check_outputs(outputs, inputs) -> None:
                 raise ValueError(f"output {out} is the input file {source}")
 
 
-def _parse_bbox(text: str) -> tuple[float, float, float, float]:
+def _parse_floats(text: str, what: str, form: str) -> tuple[float, ...]:
+    """The comma-separated numbers of ``text``, as many as ``form`` (e.g. ``lat,lon``) names."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("bbox must be min_lat,min_lon,max_lat,max_lon")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    if len(parts) != form.count(",") + 1:
+        raise ValueError(f"{what} must be {form}")
+    return tuple(map(float, parts))
 
 
 def _cmd_geocode(args) -> None:
     gaz = load_gazetteer(args.gazetteer)
     poi = geocode(args.name, gaz, max_edit=args.max_edit)
-    if poi is None:
-        _summary(command="geocode", query=args.name.replace(" ", "_"), match="none")
-    else:
-        _summary(
-            command="geocode",
-            query=args.name.replace(" ", "_"),
-            match=poi.name.replace(" ", "_"),
-            lat=repr(poi.lat),
-            lon=repr(poi.lon),
-        )
+    match = "none" if poi is None else poi.name.replace(" ", "_")
+    where = {} if poi is None else {"lat": repr(poi.lat), "lon": repr(poi.lon)}
+    _summary(command="geocode", query=args.name.replace(" ", "_"), match=match, **where)
 
 
 def _cmd_extract(args) -> None:
@@ -249,12 +247,9 @@ def _cmd_predict(args) -> None:
             raise ValueError(f"{flag} is not used {'with' if point_mode else 'without'} --point")
     seed = None if point_mode else _seed(args.seed)
     models = load_models_dir(args.models)
-    bbox = _parse_bbox(args.bbox)
+    bbox = _parse_floats(args.bbox, "bbox", "min_lat,min_lon,max_lat,max_lon")
     if point_mode:
-        parts = args.point.split(",")
-        if len(parts) != 2:
-            raise ValueError("point must be lat,lon")
-        point = (float(parts[0]), float(parts[1]))
+        point = _parse_floats(args.point, "point", "lat,lon")
         grid = make_grid(bbox, args.grid_dim)
         surface = score_point(point, grid, models)
         if args.surface_out:

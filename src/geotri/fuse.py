@@ -129,11 +129,11 @@ def fuse(scenario: Scenario, models, fraction: float = 1.0, seed: int = 0, fusio
         (slice(bisect_left(labels, label), bisect_right(labels, label)), models[label])
         for label in sorted(set(labels))
     ]
-    starts = list(range(0, grid.vertex_count, max(2, _PAIR_BUDGET // len(used))))
-    if grid.vertex_count - starts[-1] == 1:  # numpy sums a one-column block pairwise, not row by row
-        starts.pop()
+    # No block starts at the last column: numpy sums a one-column block pairwise, not row by row,
+    # so a one-column tail joins the block before it.
+    starts = range(0, grid.vertex_count - 1, max(2, _PAIR_BUDGET // len(used)))
     evidence = np.empty(grid.vertex_count)
-    for start, stop in zip(starts, starts[1:] + [grid.vertex_count]):
+    for start, stop in zip(starts, [*starts[1:], grid.vertex_count]):
         dist, orient = feature_components(*grid.vertices[start:stop].T, lats, lons, grid.origin)
         per_observation = np.empty(dist.shape)
         for rows, model in groups:

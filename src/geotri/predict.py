@@ -161,30 +161,31 @@ def _point_features(points: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndar
     )
 
 
-def _select_models(points: np.ndarray, grid: Grid, models) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _label_densities(labels, models, dist: np.ndarray, orient: np.ndarray) -> np.ndarray:
+    """(L, *dist.shape) log-densities of ``labels``, in that order, at the feature pairs."""
+    flat = dist.ravel(), orient.ravel()
+    return np.stack([models[label].logpdf(*flat).reshape(dist.shape) for label in labels])
+
+
+def _select_models(points: np.ndarray, grid: Grid, models, labels) -> tuple[np.ndarray, np.ndarray]:
     """Per point and reference vertex, pick the label whose density best explains the point.
 
-    ``points`` is a (P, 2) array of (lat, lon) rows. Returns the
-    lexicographically sorted labels, the (P, V) chosen label index (ties
-    resolve to the first, i.e. smallest, label), and the (P, V) maximum
+    ``points`` is a (P, 2) array of (lat, lon) rows and ``labels`` the sorted
+    labels (``_ScoringTables.labels``). Returns the (P, V) chosen label index
+    (ties resolve to the first, i.e. smallest, label) and the (P, V) maximum
     log-density used for underflow detection.
     """
-    labels = sorted(models)
-    dist, orient = _point_features(points, grid)
-    flat = dist.ravel(), orient.ravel()
-    log_densities = np.stack([models[label].logpdf(*flat).reshape(dist.shape) for label in labels])
-    return labels, np.argmax(log_densities, axis=0), np.max(log_densities, axis=0)
+    log_densities = _label_densities(labels, models, *_point_features(points, grid))
+    return np.argmax(log_densities, axis=0), np.max(log_densities, axis=0)
 
 
-def _offset_kernels(grid: Grid, models) -> np.ndarray:
-    """(L, 2*dim - 1, 2*dim - 1) log-densities of the sorted labels per offset.
+def _offset_kernels(grid: Grid, models, labels) -> np.ndarray:
+    """(L, 2*dim - 1, 2*dim - 1) log-densities of ``labels`` per offset.
 
     Entry ``[l, dim - 1 + dr, dim - 1 + dc]`` scores a subject ``dr`` rows and
     ``dc`` columns from its reference, measured from the first row and column
     so that a zero offset has dy or dx exactly 0, as on the vertices themselves.
     """
-    if not models:
-        raise ValueError("at least one model is required")
     dim = grid.dim
     steps = np.arange(1 - dim, dim)
     subject, reference = np.maximum(steps, 0), np.maximum(-steps, 0)
@@ -192,8 +193,7 @@ def _offset_kernels(grid: Grid, models) -> np.ndarray:
     dist, orient = feature_components(
         lats[subject, None], lons[subject], lats[reference, None], lons[reference], grid.origin
     )
-    flat = dist.ravel(), orient.ravel()
-    return np.stack([models[label].logpdf(*flat).reshape(dist.shape) for label in sorted(models)])
+    return _label_densities(labels, models, dist, orient)
 
 
 def _window_max(kernels: np.ndarray, dim: int, axis: int) -> np.ndarray:
@@ -212,6 +212,7 @@ def _window_max(kernels: np.ndarray, dim: int, axis: int) -> np.ndarray:
 class _ScoringTables:
     """Per-grid tables of the sorted labels' offset kernels K (see ``_offset_kernels``).
 
+    ``labels`` is the one label order that kernels, spectra and choices index,
     ``kernels`` is K itself, ``peaks`` each label's maximum m = max K,
     ``spectra`` the (L, n, n // 2 + 1) ``rfft2`` of exp(K - m) zero-padded
     to n x n (zero for a label whose m is not finite), where n is the
@@ -219,6 +220,7 @@ class _ScoringTables:
     over the offsets a subject can take from reference vertex i.
     """
 
+    labels: tuple[str, ...]
     kernels: np.ndarray
     peaks: np.ndarray
     spectra: np.ndarray
@@ -227,8 +229,10 @@ class _ScoringTables:
 
 def _scoring_tables(grid: Grid, models) -> _ScoringTables:
     """Build the scoring tables of ``models`` on ``grid``: O(L * dim^2) memory, not L * V^2."""
-    dim = grid.dim
-    kernels = _offset_kernels(grid, models)
+    if not models:
+        raise ValueError("at least one model is required")
+    dim, labels = grid.dim, tuple(sorted(models))
+    kernels = _offset_kernels(grid, models, labels)
     peaks = kernels.max(axis=(1, 2))
     live = np.isfinite(peaks)
     scaled = np.zeros_like(kernels)
@@ -238,7 +242,7 @@ def _scoring_tables(grid: Grid, models) -> _ScoringTables:
     reach = windows[:, ::-1, ::-1].reshape(len(kernels), -1)
     # A power of two: 2*dim - 1 itself is 29 or 59 at dims 15 and 30, primes that numpy.fft transforms slowly.
     n = 1 << (2 * dim - 2).bit_length()
-    return _ScoringTables(kernels, peaks, np.fft.rfft2(scaled, s=(n, n)), reach)
+    return _ScoringTables(labels, kernels, peaks, np.fft.rfft2(scaled, s=(n, n)), reach)
 
 
 def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +299,7 @@ def score_point(point, grid: Grid, models) -> PredictionSurface:
         raise ValueError(f"point ({lat}, {lon}) is not finite")
     _check_coords(lat, lon, "point")
     tables = _scoring_tables(grid, models)
-    labels, choices, best_log = _select_models(np.array([(lat, lon)]), grid, models)
+    choices, best_log = _select_models(np.array([(lat, lon)]), grid, models, tables.labels)
     fused, peak = _score_block(grid, tables, choices)
     if np.isinf(peak[0]):
         underflow = tuple(range(grid.vertex_count))
@@ -304,7 +308,7 @@ def score_point(point, grid: Grid, models) -> PredictionSurface:
     return PredictionSurface(
         fused_vertex=fused[0],
         region_likelihoods=grid.region_average(fused[0]),
-        chosen_labels=tuple(labels[i] for i in choices[0]),
+        chosen_labels=tuple(tables.labels[i] for i in choices[0]),
         underflow_vertices=underflow,
     )
 
@@ -364,17 +368,16 @@ def prediction_trial(
     tables = _scoring_tables(grid, models)
     rng = np.random.default_rng(seed)
     points = np.column_stack([rng.uniform(bbox[0], bbox[2], n_points), rng.uniform(bbox[1], bbox[3], n_points)])
-    labels = sorted(models)
-    choices = np.empty((n_points, grid.vertex_count), dtype=np.min_scalar_type(len(labels)))
+    choices = np.empty((n_points, grid.vertex_count), dtype=np.min_scalar_type(len(tables.labels)))
     ranks = np.empty(n_points, dtype=int)
     block = max(1, _PAIR_BUDGET // grid.vertex_count)
     for start in range(0, n_points, block):
         chunk = points[start : start + block]
-        _, choice, _ = _select_models(chunk, grid, models)
+        choice, _ = _select_models(chunk, grid, models, tables.labels)
         choices[start : start + block] = choice
         fused, _ = _score_block(grid, tables, choice)
         ranks[start : start + block] = _true_region_ranks(grid, chunk, grid.region_average(fused))
-    return PredictionTrial(grid, points, ranks.tolist(), tuple(labels), choices)
+    return PredictionTrial(grid, points, ranks.tolist(), tables.labels, choices)
 
 
 def prediction_accuracy(

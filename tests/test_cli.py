@@ -958,13 +958,26 @@ def seed_commands(fixtures_dir, feature_dir, models_dir, out):
 def test_invalid_seed_environment_is_usage_error(
     fixtures_dir, feature_dir, models_dir, tmp_path, monkeypatch, capsys, command
 ):
-    monkeypatch.setenv("GEOTRI_SEED", "abc")
-    out = tmp_path / "out"
-    assert run(seed_commands(fixtures_dir, feature_dir, models_dir, out)[command]) == 1
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("GEOTRI_SEED", value)
+        out = tmp_path / "out"
+        assert run(seed_commands(fixtures_dir, feature_dir, models_dir, out)[command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "GEOTRI_SEED" in captured.err and repr(value) in captured.err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "fuse"])
+def test_negative_seed_is_usage_error(fixtures_dir, feature_dir, models_dir, tmp_path, monkeypatch, capsys, command):
+    # fuse at --fraction 1.0 draws no sample, so numpy never sees the seed: the CLI must refuse it.
+    monkeypatch.delenv("GEOTRI_SEED", raising=False)
+    argv = seed_commands(fixtures_dir, feature_dir, models_dir, tmp_path / "out")[command]
+    assert run(argv + ["--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "GEOTRI_SEED" in captured.err and "'abc'" in captured.err
+    assert captured.err == f"geotri {command}: --seed must be a non-negative integer, got -1\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -243,9 +243,9 @@ def test_fuzzy_index_is_built_by_the_first_fuzzy_query(fixtures_dir, patterns, c
     assert extract_triplets(corpus, gaz, patterns)
     assert geocode("Boston", gaz, max_edit=2) is not None
     assert geocode("Bostn", gaz, max_edit=0) is None
-    assert gaz._fuzzy_index is None
+    assert "fuzzy_index" not in vars(gaz)
     assert geocode("Bostn", gaz, max_edit=1) == geocode("Boston", gaz, max_edit=0)
-    assert gaz._fuzzy_index is not None
+    assert "fuzzy_index" in vars(gaz)
 
 
 def test_geocode_query_without_letters_matches_nothing():

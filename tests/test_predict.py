@@ -54,6 +54,11 @@ def demo_models():
     }
 
 
+def reversed_city_models():
+    """``synthetic_city_models`` inserted in reverse label order: scoring must not follow dict order."""
+    return dict(reversed(synthetic_city_models().items()))
+
+
 def test_grid_dimension_counts():
     grid = make_grid(BBOX, 15)
     assert grid.vertex_count == 225
@@ -276,9 +281,9 @@ def direct_surface(point, grid, models):
 
 @pytest.mark.parametrize("bbox", KERNEL_BBOXES)
 @pytest.mark.parametrize("dim", [2, 7, 15, 30])
-@pytest.mark.parametrize("city", [False, True])
+@pytest.mark.parametrize("city", [False, True, "reversed"])
 def test_score_point_matches_direct_pairs(bbox, dim, city):
-    models = synthetic_city_models() if city else demo_models()
+    models = {False: demo_models, True: synthetic_city_models, "reversed": reversed_city_models}[city]()
     grid = make_grid(bbox, dim)
     rng = np.random.default_rng(dim)
     for _ in range(3):
@@ -365,7 +370,7 @@ def test_kernel_peak_out_of_reach_of_every_vertex_that_chose_it(slope, offset, g
     point = (40.17, 116.225)
     models = {"near": WithinStub(3.0), "southwest": SouthwestStub(slope, offset)}
     tables = predict._scoring_tables(grid, models)
-    _, choice, _ = predict._select_models(np.array([point]), grid, models)
+    choice, _ = predict._select_models(np.array([point]), grid, models, tables.labels)
     _, peak = predict._score_block(grid, tables, choice)
     assert choice[0, -1] == 0 and np.count_nonzero(choice[0]) > 0
     assert tables.peaks[1] - peak[0] > gap
@@ -415,21 +420,26 @@ def test_prediction_trial_keeps_label_choices():
 def test_prediction_trial_choices_and_ranks_match_score_point(dim):
     # More points than one selection block holds, and not a multiple of it.
     n_points = predict._PAIR_BUDGET // (dim * dim) + 3
-    models = synthetic_city_models()
-    trial = prediction_trial(models, BBOX, dim, n_points, seed=dim)
-    grid = trial.grid
-    assert trial.choices.shape == (n_points, grid.vertex_count)
-    for point, choice, rank in zip(trial.points, trial.choices, trial.ranks):
-        surface = score_point(point, grid, models)
-        assert tuple(trial.labels[c] for c in choice) == surface.chosen_labels
-        target = grid.region_containing(point[0], point[1])
-        assert rank == region_ranking(surface.region_likelihoods).index(target)
-    # The whole trial as one block scores each point bit for bit as it scores alone.
-    tables = predict._scoring_tables(grid, models)
-    fused, peak = predict._score_block(grid, tables, trial.choices)
-    for row, choice in enumerate(trial.choices):
-        alone, alone_peak = predict._score_block(grid, tables, choice[None])
-        assert np.array_equal(alone[0], fused[row]) and alone_peak[0] == peak[row]
+    trials = []
+    for models in (synthetic_city_models(), reversed_city_models()):
+        trial = prediction_trial(models, BBOX, dim, n_points, seed=dim)
+        trials.append(trial)
+        grid = trial.grid
+        assert trial.choices.shape == (n_points, grid.vertex_count)
+        for point, choice, rank in zip(trial.points, trial.choices, trial.ranks):
+            surface = score_point(point, grid, models)
+            assert tuple(trial.labels[c] for c in choice) == surface.chosen_labels
+            target = grid.region_containing(point[0], point[1])
+            assert rank == region_ranking(surface.region_likelihoods).index(target)
+        # The whole trial as one block scores each point bit for bit as it scores alone.
+        tables = predict._scoring_tables(grid, models)
+        fused, peak = predict._score_block(grid, tables, trial.choices)
+        for row, choice in enumerate(trial.choices):
+            alone, alone_peak = predict._score_block(grid, tables, choice[None])
+            assert np.array_equal(alone[0], fused[row]) and alone_peak[0] == peak[row]
+    ordered, reversed_ = trials
+    assert ordered.labels == reversed_.labels == tuple(sorted(ordered.labels))
+    assert ordered.ranks == reversed_.ranks and np.array_equal(ordered.choices, reversed_.choices)
 
 
 def test_uniform_stub_trial_ranks_match_stable_order():

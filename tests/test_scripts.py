@@ -72,3 +72,19 @@ def test_invalid_seed_environment_is_one_line_error(name):
     assert result.returncode != 0
     assert result.stdout == ""
     assert result.stderr == "GEOTRI_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+@pytest.mark.parametrize(
+    ("args", "seed_env", "message"),
+    [
+        (["--seed", "-1"], None, "--seed must be a non-negative integer, got -1\n"),
+        ([], "-1", "GEOTRI_SEED must be a non-negative integer, got '-1'\n"),
+    ],
+    ids=["flag", "environment"],
+)
+def test_negative_seed_is_one_line_error(name, args, seed_env, message):
+    result = script_result(name, *args, seed_env=seed_env)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == message
