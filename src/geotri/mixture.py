@@ -81,9 +81,9 @@ class InvalidParameterError(ValueError):
     """Raised for malformed mixture parameters (weights, covariances)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianComponent:
-    """One weighted bivariate Gaussian; its covariance must be positive definite."""
+    """One weighted bivariate Gaussian, equal only to itself; its covariance must be positive definite."""
 
     weight: float
     mean: np.ndarray
@@ -107,9 +107,9 @@ class GaussianComponent:
             raise InvalidParameterError(f"covariance not positive definite: {cov.tolist()}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmModel:
-    """A Gaussian mixture tied to one relation label."""
+    """A Gaussian mixture tied to one relation label, hashed and equal by identity (``predict`` keys on it)."""
 
     relation: str
     components: tuple[GaussianComponent, ...]

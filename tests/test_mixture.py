@@ -222,6 +222,16 @@ def test_model_needs_relation_label():
         GmmModel("", (GaussianComponent(1.0, [0.0, 0.0], np.eye(2)),))
 
 
+def test_models_and_components_compare_and_hash_by_identity():
+    # Equal parameters, distinct objects: equal arrays would make a field-wise == ambiguous.
+    one, other = synthetic_city_models()["at"], synthetic_city_models()["at"]
+    for a, b in [(one, other), (one.components[0], other.components[0])]:
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and hash(a) != hash(b)
+        assert len({a, b, a}) == 2
+
+
 def test_em_rejects_covariance_that_overflows():
     # Finite data whose squared spread overflows: the M-step covariance is NaN.
     x = np.random.default_rng(0).normal(size=(50, 2))

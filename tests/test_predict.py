@@ -1,8 +1,10 @@
 """Grid scoring: model selection, surface fusion, rankings, and the oracle."""
 
+import gc
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -382,12 +384,116 @@ def test_kernel_peak_out_of_reach_of_every_vertex_that_chose_it(slope, offset, g
     assert surface.underflow_vertices == underflow
 
 
+class UnhashableUniform(UniformDensityModel):
+    """A uniform model that cannot key the table store: ``__eq__`` without ``__hash__``."""
+
+    def __eq__(self, other):
+        return self is other
+
+
 def test_uniform_stub_surface_is_uniform():
     grid = make_grid(BBOX, 15)
-    surface = score_point((40.1, 116.05), grid, {"anywhere": UniformDensityModel()})
     expected = 1.0 / grid.vertex_count
-    assert np.abs(surface.fused_vertex - expected).max() <= 1e-12
-    assert np.abs(surface.region_likelihoods - expected).max() <= 1e-12
+    # A second call reads the stored tables, or for the unhashable model builds them again.
+    for models in ({"anywhere": UniformDensityModel()}, {"anywhere": UnhashableUniform()}):
+        for _ in range(2):
+            surface = score_point((40.1, 116.05), grid, models)
+            assert np.abs(surface.fused_vertex - expected).max() <= 1e-12
+            assert np.abs(surface.region_likelihoods - expected).max() <= 1e-12
+
+
+def fresh_tables(grid, models) -> predict._ScoringTables:
+    """Every label's scoring tables built from ``_offset_kernels`` in one batch, outside the store."""
+    dim, labels = grid.dim, tuple(sorted(models))
+    kernels = predict._offset_kernels(grid, models, labels)
+    peaks = kernels.max(axis=(1, 2))
+    live = np.isfinite(peaks)
+    scaled = np.zeros_like(kernels)
+    scaled[live] = np.exp(kernels[live] - peaks[live, None, None])
+    windows = predict._window_max(predict._window_max(kernels, dim, 1), dim, 2)
+    reach = windows[:, ::-1, ::-1].reshape(len(labels), -1)
+    n = 1 << (2 * dim - 2).bit_length()
+    return predict._ScoringTables(labels, kernels, peaks, np.fft.rfft2(scaled, s=(n, n)), reach)
+
+
+def assert_tables_bitwise(got, want):
+    assert got.labels == want.labels
+    for name in ("kernels", "peaks", "spectra", "reach"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.fixture
+def built_labels(monkeypatch):
+    """The label lists ``_scoring_tables`` builds, one list per build."""
+    builds = []
+    build = predict._label_tables
+
+    def spy(grid, models, labels):
+        builds.append(list(labels))
+        return build(grid, models, labels)
+
+    monkeypatch.setattr(predict, "_label_tables", spy)
+    return builds
+
+
+def hand_built(grid, vertices=None, origin=None) -> predict.Grid:
+    """``grid``'s bbox and dim with other vertices or another origin."""
+    vertices = grid.vertices if vertices is None else vertices
+    return predict.Grid(grid.bbox, grid.dim, vertices, grid.origin if origin is None else origin)
+
+
+@pytest.mark.parametrize("dim", [2, 15, 30])
+def test_stored_tables_are_bitwise_a_fresh_build(dim, built_labels):
+    grid, other = make_grid(BBOX, dim), make_grid(KERNEL_BBOXES[2], dim)
+    city = synthetic_city_models()
+    # The city labels stored, plus one stub that is scored everywhere and one whose kernel is all -inf.
+    plus = {**city, "anywhere": UniformDensityModel(), "never": WithinStub(-1.0)}
+    moved = hand_built(grid, vertices=make_grid(KERNEL_BBOXES[1], dim).vertices)
+    shifted = hand_built(grid, origin=ProjectionOrigin(BBOX[0], BBOX[1]))
+    calls = [
+        (grid, city, sorted(city)),  # none stored
+        (grid, city, None),  # all stored
+        (other, city, sorted(city)),  # a second geometry
+        (grid, city, None),  # alternating with the first, each keeps its own
+        (other, city, None),
+        (grid, plus, ["anywhere", "never"]),  # some stored
+        (grid, plus, None),
+        (moved, city, sorted(city)),  # same bbox and dim, other vertices
+        (shifted, city, sorted(city)),  # same bbox, dim and vertices, another origin
+    ]
+    for at, models, built in calls:
+        del built_labels[:]
+        assert_tables_bitwise(predict._scoring_tables(at, models), fresh_tables(at, models))
+        assert built_labels == ([built] if built else [])
+
+
+def test_stored_tables_are_read_only_and_released_with_their_model():
+    grid = make_grid(BBOX, 7)
+    models = synthetic_city_models()
+    score_point((40.1, 116.1), grid, models)
+    model = models["near"]
+    kernel, _, spectrum, reach = predict._STORE[model][predict._geometry(grid)]
+    released = [weakref.ref(model), weakref.ref(kernel), weakref.ref(spectrum), weakref.ref(reach)]
+    for index in (1, 2, 3):
+        with pytest.raises(ValueError, match="read-only"):
+            released[index]()[...] = 0
+    del model, models, kernel, spectrum, reach
+    gc.collect()
+    assert all(ref() is None for ref in released)
+
+
+def test_fifth_geometry_evicts_the_least_recently_used(built_labels):
+    models = demo_models()
+    grids = [make_grid((40.0, 116.0, 40.1 + 0.01 * i, 116.2), 5) for i in range(5)]
+    for i in (0, 1, 2, 3, 0, 4):
+        predict._scoring_tables(grids[i], models)
+    kept = [predict._geometry(grids[i]) for i in (2, 3, 0, 4)]
+    for model in models.values():
+        assert list(predict._STORE[model]) == kept
+    del built_labels[:]
+    predict._scoring_tables(grids[1], models)
+    assert built_labels == [["at", "near"]]
 
 
 def test_region_ranking_orders_and_breaks_ties_by_index():
