@@ -19,14 +19,15 @@ two >= 2*dim - 1 (see ``_score_block``): O(dim^2 log dim) time per point and
 label, O(L * n^2) memory per grid plus O(P * L * n^2) per block, and no
 vertex x vertex surface is built.
 
-The per-grid tables outlive the call that builds them: ``_STORE`` holds,
-per model object and only as long as the model lives, each grid geometry's
-read-only kernel, peak, spectrum and reach, keyed on what the kernels read
-(dim, origin, row latitudes and column longitudes). That is about 17 KB per
-label at dim 15, 69 KB at dim 30 and 275 KB at dim 60, for at most 4
-geometries per model, the least recently used dropped first. A call builds
-only the labels missing there, in one batch; so a model's densities must
-not change once it has been scored.
+The per-grid tables outlive the call that builds them: for a set of
+``GmmModel`` objects, ``_STORE`` holds its read-only tables per grid
+geometry, weakly keyed on the first label's model and keyed within it on
+what the kernels read (dim, origin, row latitudes and column longitudes),
+the labels and the other models. That is about 17 KB per label at dim 15,
+69 KB at dim 30 and 275 KB at dim 60, for at most 4 entries per first
+model, the least recently used dropped first, released with that model.
+Other model types may change their densities between calls, so their
+tables are built on every call.
 
 Densities are evaluated in log space. Each term of a point's column sums is
 exp(log density - peak), where the peak is the largest log density over all
@@ -43,13 +44,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import ProjectionOrigin, feature_components, origin_for_points
 from .gazetteer import _check_coords
+from .mixture import GmmModel
 
 __all__ = [
     "AT_KM",
@@ -229,10 +230,10 @@ class _ScoringTables:
     to n x n (zero for a label whose m is not finite), where n is the
     smallest power of two >= 2*dim - 1, and ``reach[l, i]`` the largest K_l
     over the offsets a subject can take from reference vertex i.
-    Each label's rows are its model's entry in ``_STORE`` for the grid's
-    geometry (see ``_geometry``), one read-only (kernel, peak, spectrum,
-    reach): about 17 KB at dim 15, 69 KB at dim 30 and 275 KB at dim 60, for
-    at most ``_GEOMETRIES_PER_MODEL`` geometries per model, released with it.
+    The arrays are read-only: a ``GmmModel`` set's tables are shared through
+    ``_STORE`` (see ``_scoring_tables``), about 17 KB per label at dim 15,
+    69 KB at dim 30 and 275 KB at dim 60, for at most ``_ENTRIES_PER_MODEL``
+    geometries and model sets per first model, released with it.
     """
 
     labels: tuple[str, ...]
@@ -242,10 +243,10 @@ class _ScoringTables:
     reach: np.ndarray
 
 
-# Per model, its read-only (kernel, peak, spectrum, reach) per grid geometry (see ``_geometry``),
-# least recently used first: at most _GEOMETRIES_PER_MODEL of them, released with the model.
+# Per first-label GmmModel of a model set, its read-only tables per (geometry, labels,
+# other models), least recently used first: at most _ENTRIES_PER_MODEL, released with it.
 _STORE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_GEOMETRIES_PER_MODEL = 4
+_ENTRIES_PER_MODEL = 4
 
 
 def _geometry(grid: Grid) -> tuple:
@@ -257,27 +258,8 @@ def _geometry(grid: Grid) -> tuple:
     return dim, grid.origin, grid.vertices[::dim, 0].tobytes(), grid.vertices[:dim, 1].tobytes()
 
 
-def _stored(model) -> OrderedDict:
-    """``model``'s entries in ``_STORE``; a model that cannot be a weak key gets a fresh dict, kept by no one."""
-    try:
-        return _STORE.setdefault(model, OrderedDict())
-    except TypeError:
-        return OrderedDict()
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``array``, holding no other label's memory."""
-    array = array.copy()
-    array.flags.writeable = False
-    return array
-
-
-def _label_tables(grid: Grid, models, labels) -> tuple[np.ndarray, ...]:
-    """The (L, ...) kernels, peaks, spectra and reach of ``labels`` on ``grid``, built in one batch.
-
-    Every step acts on each label alone, numpy.fft included, so a label's
-    tables are bitwise the same in any batch.
-    """
+def _build_tables(grid: Grid, models, labels) -> _ScoringTables:
+    """The read-only scoring tables of ``labels`` on ``grid``."""
     dim = grid.dim
     kernels = _offset_kernels(grid, models, labels)
     peaks = kernels.max(axis=(1, 2))
@@ -289,33 +271,35 @@ def _label_tables(grid: Grid, models, labels) -> tuple[np.ndarray, ...]:
     reach = windows[:, ::-1, ::-1].reshape(len(kernels), -1)
     # A power of two: 2*dim - 1 itself is 29 or 59 at dims 15 and 30, primes that numpy.fft transforms slowly.
     n = 1 << (2 * dim - 2).bit_length()
-    return kernels, peaks, np.fft.rfft2(scaled, s=(n, n)), reach
+    tables = _ScoringTables(labels, kernels, peaks, np.fft.rfft2(scaled, s=(n, n)), reach)
+    for array in (tables.kernels, tables.peaks, tables.spectra, tables.reach):
+        array.flags.writeable = False
+    return tables
 
 
 def _scoring_tables(grid: Grid, models) -> _ScoringTables:
     """The scoring tables of ``models`` on ``grid``: O(L * dim^2) memory, not L * V^2.
 
-    A label whose model has tables for this geometry in ``_STORE`` reuses
-    them; the other labels' tables are built in one batch and stored.
+    A set of ``GmmModel`` objects reuses its tables from ``_STORE``; any other
+    model set, whose densities may change between calls, gets them built anew.
     """
     if not models:
         raise ValueError("at least one model is required")
-    labels, geometry = tuple(sorted(models)), _geometry(grid)
-    stores = [_stored(models[label]) for label in labels]
-    tables = [store.get(geometry) for store in stores]
-    missing = [i for i, table in enumerate(tables) if table is None]
-    if missing:
-        batch = _label_tables(grid, models, [labels[i] for i in missing])
-        for i, (kernel, peak, spectrum, reach) in zip(missing, zip(*batch)):
-            tables[i] = (_frozen(kernel), peak, _frozen(spectrum), _frozen(reach))
-    for store, table in zip(stores, tables):
-        store[geometry] = table
-        store.move_to_end(geometry)
-        if len(store) > _GEOMETRIES_PER_MODEL:
-            store.popitem(last=False)
-    # With every label just built, the batch is already the stack.
-    stacked = batch if len(missing) == len(labels) else map(np.stack, zip(*tables))
-    return _ScoringTables(labels, *stacked)
+    labels = tuple(sorted(models))
+    first, others = models[labels[0]], tuple(models[label] for label in labels[1:])
+    # A first model among the others would be held by its own entry and never released.
+    if not all(isinstance(model, GmmModel) for model in models.values()) or first in others:
+        return _build_tables(grid, models, labels)
+    # The key holds the other models, so they live as long as the entry and no new model can match it.
+    key = (_geometry(grid), labels, others)
+    store = _STORE.setdefault(first, {})
+    tables = store.pop(key, None)
+    if tables is None:
+        tables = _build_tables(grid, models, labels)
+    store[key] = tables
+    if len(store) > _ENTRIES_PER_MODEL:
+        store.pop(next(iter(store)), None)
+    return tables
 
 
 def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -315,14 +315,17 @@ def test_underflow_at_some_reference_vertices():
     grid = make_grid(BBOX, 9)
     point = (40.01, 116.02)
     models = {"near": WithinStub(7.3), "nearer": WithinStub(3.1)}
-    surface = score_point(point, grid, models)
-    fused, labels, underflow = direct_surface(point, grid, models)
-    # Vertices farther than 7.3 km from the point fall back to the first label.
-    assert 0 < len(surface.underflow_vertices) < grid.vertex_count
-    assert surface.underflow_vertices == underflow
-    assert all(surface.chosen_labels[i] == "near" for i in underflow)
-    assert surface.chosen_labels == labels
-    assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
+    # A plain model may change between calls on one grid, so its tables are never kept.
+    for radius in (7.3, 5.2):
+        models["near"].radius_km = radius
+        surface = score_point(point, grid, models)
+        fused, labels, underflow = direct_surface(point, grid, models)
+        # Vertices farther than the radius from the point fall back to the first label.
+        assert 0 < len(surface.underflow_vertices) < grid.vertex_count
+        assert surface.underflow_vertices == underflow
+        assert all(surface.chosen_labels[i] == "near" for i in underflow)
+        assert surface.chosen_labels == labels
+        assert np.abs(surface.fused_vertex - fused).max() <= 1e-12 * fused.max()
 
 
 def test_underflow_everywhere_gives_uniform_surface():
@@ -384,22 +387,12 @@ def test_kernel_peak_out_of_reach_of_every_vertex_that_chose_it(slope, offset, g
     assert surface.underflow_vertices == underflow
 
 
-class UnhashableUniform(UniformDensityModel):
-    """A uniform model that cannot key the table store: ``__eq__`` without ``__hash__``."""
-
-    def __eq__(self, other):
-        return self is other
-
-
 def test_uniform_stub_surface_is_uniform():
     grid = make_grid(BBOX, 15)
+    surface = score_point((40.1, 116.05), grid, {"anywhere": UniformDensityModel()})
     expected = 1.0 / grid.vertex_count
-    # A second call reads the stored tables, or for the unhashable model builds them again.
-    for models in ({"anywhere": UniformDensityModel()}, {"anywhere": UnhashableUniform()}):
-        for _ in range(2):
-            surface = score_point((40.1, 116.05), grid, models)
-            assert np.abs(surface.fused_vertex - expected).max() <= 1e-12
-            assert np.abs(surface.region_likelihoods - expected).max() <= 1e-12
+    assert np.abs(surface.fused_vertex - expected).max() <= 1e-12
+    assert np.abs(surface.region_likelihoods - expected).max() <= 1e-12
 
 
 def fresh_tables(grid, models) -> predict._ScoringTables:
@@ -425,15 +418,15 @@ def assert_tables_bitwise(got, want):
 
 @pytest.fixture
 def built_labels(monkeypatch):
-    """The label lists ``_scoring_tables`` builds, one list per build."""
+    """The label tuples ``_scoring_tables`` builds tables for, one per build."""
     builds = []
-    build = predict._label_tables
+    build = predict._build_tables
 
     def spy(grid, models, labels):
-        builds.append(list(labels))
+        builds.append(labels)
         return build(grid, models, labels)
 
-    monkeypatch.setattr(predict, "_label_tables", spy)
+    monkeypatch.setattr(predict, "_build_tables", spy)
     return builds
 
 
@@ -447,40 +440,56 @@ def hand_built(grid, vertices=None, origin=None) -> predict.Grid:
 def test_stored_tables_are_bitwise_a_fresh_build(dim, built_labels):
     grid, other = make_grid(BBOX, dim), make_grid(KERNEL_BBOXES[2], dim)
     city = synthetic_city_models()
-    # The city labels stored, plus one stub that is scored everywhere and one whose kernel is all -inf.
-    plus = {**city, "anywhere": UniformDensityModel(), "never": WithinStub(-1.0)}
+    labels = tuple(sorted(city))
+    # The stored city models plus one new model, the stored ones with another model under a
+    # stored label, and plain stubs, which are built on every call.
+    plus = {**city, "beside": diag_model("beside", [1.5, 90.0], 0.3, 900.0)}
+    swapped = {**city, labels[-1]: synthetic_city_models()[labels[-1]]}
+    stubs = {**city, "anywhere": UniformDensityModel(), "never": WithinStub(-1.0)}
     moved = hand_built(grid, vertices=make_grid(KERNEL_BBOXES[1], dim).vertices)
     shifted = hand_built(grid, origin=ProjectionOrigin(BBOX[0], BBOX[1]))
     calls = [
-        (grid, city, sorted(city)),  # none stored
-        (grid, city, None),  # all stored
-        (other, city, sorted(city)),  # a second geometry
-        (grid, city, None),  # alternating with the first, each keeps its own
-        (other, city, None),
-        (grid, plus, ["anywhere", "never"]),  # some stored
-        (grid, plus, None),
-        (moved, city, sorted(city)),  # same bbox and dim, other vertices
-        (shifted, city, sorted(city)),  # same bbox, dim and vertices, another origin
+        (grid, city, True),  # none stored
+        (grid, city, False),  # all stored
+        (other, city, True),  # a second geometry
+        (grid, city, False),  # alternating with the first, each keeps its own
+        (other, city, False),
+        (grid, plus, True),  # some stored
+        (grid, plus, False),
+        (grid, swapped, True),
+        (grid, stubs, True),
+        (grid, stubs, True),
+        (moved, city, True),  # same bbox and dim, other vertices
+        (shifted, city, True),  # same bbox, dim and vertices, another origin
     ]
-    for at, models, built in calls:
+    for at, models, builds in calls:
         del built_labels[:]
         assert_tables_bitwise(predict._scoring_tables(at, models), fresh_tables(at, models))
-        assert built_labels == ([built] if built else [])
+        assert built_labels == ([tuple(sorted(models))] if builds else [])
 
 
 def test_stored_tables_are_read_only_and_released_with_their_model():
     grid = make_grid(BBOX, 7)
     models = synthetic_city_models()
     score_point((40.1, 116.1), grid, models)
-    model = models["near"]
-    kernel, _, spectrum, reach = predict._STORE[model][predict._geometry(grid)]
-    released = [weakref.ref(model), weakref.ref(kernel), weakref.ref(spectrum), weakref.ref(reach)]
-    for index in (1, 2, 3):
+    (tables,) = predict._STORE[models[min(models)]].values()
+    arrays = [tables.kernels, tables.peaks, tables.spectra, tables.reach]
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            released[index]()[...] = 0
-    del model, models, kernel, spectrum, reach
+            array[...] = 0
+    released = [weakref.ref(value) for value in [*models.values(), *arrays]]
+    del models, tables, arrays, array
     gc.collect()
     assert all(ref() is None for ref in released)
+
+
+def test_model_set_holding_one_model_twice_is_not_stored(built_labels):
+    grid, model = make_grid(BBOX, 7), demo_models()["at"]
+    models = {"at": model, "by": model}
+    for _ in range(2):
+        assert_tables_bitwise(predict._scoring_tables(grid, models), fresh_tables(grid, models))
+    assert built_labels == [("at", "by")] * 2
+    assert model not in predict._STORE
 
 
 def test_fifth_geometry_evicts_the_least_recently_used(built_labels):
@@ -488,12 +497,11 @@ def test_fifth_geometry_evicts_the_least_recently_used(built_labels):
     grids = [make_grid((40.0, 116.0, 40.1 + 0.01 * i, 116.2), 5) for i in range(5)]
     for i in (0, 1, 2, 3, 0, 4):
         predict._scoring_tables(grids[i], models)
-    kept = [predict._geometry(grids[i]) for i in (2, 3, 0, 4)]
-    for model in models.values():
-        assert list(predict._STORE[model]) == kept
+    keys = [(predict._geometry(grids[i]), ("at", "near"), (models["near"],)) for i in (2, 3, 0, 4)]
+    assert list(predict._STORE[models["at"]]) == keys
     del built_labels[:]
     predict._scoring_tables(grids[1], models)
-    assert built_labels == [["at", "near"]]
+    assert built_labels == [("at", "near")]
 
 
 def test_region_ranking_orders_and_breaks_ties_by_index():
