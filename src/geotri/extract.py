@@ -40,9 +40,11 @@ __all__ = [
     "write_triplets_tsv",
 ]
 
-_TOKEN = re.compile(r"\w+(?:'\w+)?|[^\w\s]")
-_BOUNDARY = re.compile(r"([.!?]+)(\s+)")
-_WORD_BEFORE = re.compile(r"(\w+)\W*$")
+_TOKEN = re.compile(r"\w+(?:['’]\w+)?|[^\w\s]")
+# A terminator run is tried only from its first mark, so a long run costs linear time.
+_BOUNDARY = re.compile(r"([.!?](?<![.!?]{2})[.!?]*)(\s+)")
+# Matched on the reversed text: the word run just before a position, past any non-word characters.
+_WORD_BEFORE = re.compile(r"\W*(\w+)")
 _WORD = re.compile(r"\w")
 
 # Sentence terminators after these words are abbreviation dots, not boundaries.
@@ -91,13 +93,20 @@ _WORD_CLASS = {word: tag for tag, words in _CLASS_WORDS.items() for word in word
 
 
 def split_sentences(text: str) -> list[str]:
-    """Split on ., ! or ? followed by whitespace, guarding abbreviations."""
+    """Split on ., ! or ? followed by whitespace, guarding abbreviations.
+
+    The word before a lone "." is read backwards from it, never past the
+    previous dot checked, so the split takes linear time.
+    """
     sentences: list[str] = []
-    start = 0
+    start = checked = 0
+    backwards = text[::-1]
     for match in _BOUNDARY.finditer(text):
         if match.group(1) == ".":
-            word = _WORD_BEFORE.search(text[start : match.start()])
-            if word and word.group(1).lower() in _ABBREVIATIONS:
+            # A dot checked after ``start`` was an abbreviation's; with no word since, this one is too.
+            floor, checked = max(start, checked), match.start()
+            word = _WORD_BEFORE.match(backwards, len(text) - checked, len(text) - floor)
+            if word.group(1)[::-1].lower() in _ABBREVIATIONS if word else floor > start:
                 continue
         piece = text[start : match.end(1)].strip()
         if piece:
@@ -116,7 +125,7 @@ def tokenize(sentence: str) -> list[str]:
 
 def token_class(token: str) -> str:
     """Map a gap token onto its closed-class tag (UNK when unlisted)."""
-    if not _WORD.search(token):
+    if not token.isalnum() and not _WORD.search(token):
         return "PUNCT"
     lowered = token.lower()
     if lowered in _WORD_CLASS:
@@ -228,7 +237,8 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
     a token that starts no multi-word name costs two hash lookups, however
     long the names are.
     """
-    keys = [normalize_name(token) or None for token in tokens]
+    # An ASCII alphanumeric token is its own key lowercased, as normalize_name's fast path gives.
+    keys = [token.lower() if token.isascii() and token.isalnum() else normalize_name(token) or None for token in tokens]
     keys.append(None)  # ends the last span at the end of the sentence
     index, prefixes = gaz.name_index, gaz.name_prefixes
     spans: list[EntitySpan] = []

@@ -1,7 +1,9 @@
 """Sentence splitting, tagging, pattern matching, and the full extractor."""
 
 import pathlib
+import re
 import tempfile
+import time
 import unicodedata
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from geotri import extract
 from geotri.extract import (
+    _ABBREVIATIONS,
     _CLASS_WORDS,
     EntitySpan,
     PatternSet,
@@ -50,10 +53,74 @@ def test_split_handles_missing_trailing_space():
     assert split_sentences("") == []
 
 
+_BOUNDARY = re.compile(r"([.!?]+)(\s+)")
+_WORD_BEFORE = re.compile(r"(\w+)\W*$")
+
+
+def split_reference(text):
+    # Reference splitter: the abbreviation check searches the whole sentence so far.
+    sentences, start = [], 0
+    for match in _BOUNDARY.finditer(text):
+        if match.group(1) == ".":
+            word = _WORD_BEFORE.search(text[start : match.start()])
+            if word and word.group(1).lower() in _ABBREVIATIONS:
+                continue
+        piece = text[start : match.end(1)].strip()
+        if piece:
+            sentences.append(piece)
+        start = match.end()
+    tail = text[start:].strip()
+    return sentences + [tail] if tail else sentences
+
+
+@st.composite
+def mixed_case_abbreviation(draw):
+    word = draw(st.sampled_from(sorted(_ABBREVIATIONS)))
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.upper() if u else c for c, u in zip(word, upper))
+
+
+# Words (with digits, "_", non-ASCII letters, a combining mark and a dot
+# inside a word), terminator runs, and whitespace of several kinds.
+_SPLIT_PIECES = [
+    "Holm", "x_1", "_", "9", "é", "a\u0301", "İ", "ǅ", "Mt.Fuji", "etc.)",
+    ".", "...", "?!", "!", "?", ")", ",", " ", "  ", "\t", "\n", "\u2003",
+]
+
+
+@example("Dr" + ". " * 3 + "x. y")
+@example("Mt.Fuji. St.\tNo.\u2003ETC.. Holm?! x")
+@settings(max_examples=500)
+@given(st.lists(mixed_case_abbreviation() | st.sampled_from(_SPLIT_PIECES), max_size=24).map("".join))
+def test_split_matches_the_whole_sentence_search(text):
+    assert split_sentences(text) == split_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["We met Dr. Holm and " * 4000 + "left.", "Dr" + ". " * 40000, "." * 40000 + "x"],
+    ids=["abbreviations", "dots-after-one-abbreviation", "terminator-run"],
+)
+def test_split_takes_linear_time(gazetteer, patterns, text):
+    # Each of these took 20 s or more when every dot searched the sentence so far.
+    began = time.perf_counter()
+    assert len(split_sentences(text)) == 1
+    assert extract_triplets([text], gazetteer, patterns) == []
+    assert time.perf_counter() - began < 2.0
+
+
 def test_tokenize_separates_punctuation():
     assert tokenize("Rio de Janeiro, which is in Brazil.") == [
         "Rio", "de", "Janeiro", ",", "which", "is", "in", "Brazil", ".",
     ]
+
+
+def test_typographic_apostrophe_stays_inside_a_word(patterns):
+    assert tokenize("Martha’s Vineyard and O'Hare’s.") == ["Martha’s", "Vineyard", "and", "O'Hare", "’", "s", "."]
+    entries = [GazetteerEntry("Martha's Vineyard", (), 41.39, -70.61), GazetteerEntry("Boston", (), 42.36, -71.06)]
+    gaz = build_gazetteer(entries)
+    triplets = extract_triplets(["Martha’s Vineyard is near Boston."], gaz, patterns)
+    assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == [("Martha's Vineyard", "near", "Boston")]
 
 
 def test_tokenize_composes_decomposed_letters():
@@ -93,6 +160,19 @@ def test_every_class_word_keeps_its_tag():
     for tag, words in _CLASS_WORDS.items():
         for word in words:
             assert (token_class(word), token_class(word.upper())) == (tag, tag)
+
+
+@pytest.mark.parametrize(
+    "token", ["Bo9", "İ", "ǅ", "\u1f71", "\u212a", "ﬁ", "O'Hare", "Martha’s", "x_1", "_", ",", "’", "\u0301"]
+)
+def test_tag_keys_and_token_class_follow_their_slow_paths(token):
+    # Slow paths: the key is normalize_name's, and PUNCT means no word character.
+    key = normalize_name(token)
+    names = (token, token.lower(), "x")
+    gaz = build_gazetteer([GazetteerEntry(name, (), 0.0, float(i)) for i, name in enumerate(names)])
+    spans = tag_entities([token], gaz)
+    assert [s.poi for s in spans] == ([gaz.name_index[key]] if key else [])
+    assert (token_class(token) == "PUNCT") == (re.search(r"\w", token) is None)
 
 
 def test_token_class_s_suffix_verb_heuristic():
