@@ -40,7 +40,7 @@ __all__ = [
     "write_triplets_tsv",
 ]
 
-_TOKEN = re.compile(r"\w+(?:['’]\w+)?|[^\w\s]")
+_TOKEN = re.compile(r"\w+(?:['’]\w+)*|[^\w\s]")
 # A terminator run is tried only from its first mark, so a long run costs linear time.
 _BOUNDARY = re.compile(r"([.!?](?<![.!?]{2})[.!?]*)(\s+)")
 # Matched on the reversed text: the word run just before a position, past any non-word characters.

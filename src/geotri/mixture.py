@@ -194,22 +194,30 @@ def _density_terms(log_weights: np.ndarray, means: np.ndarray, covs: np.ndarray)
 
 
 def _log_joint(dx: np.ndarray, dy: np.ndarray, terms: tuple[np.ndarray, ...]) -> np.ndarray:
-    """log w_k + log g_k (K, n) at the offsets dx, dy (K, n) of each point from mean k."""
+    """log w_k + log g_k (K, n) at the offsets dx, dy (K, n) of each point from mean k, in one output and one scratch."""
     log_weights, _, _, c_s, b_det, a_s, log_norm = terms
-    out = c_s * dx
-    out += b_det * dy
+    out = np.multiply(c_s, dx)
+    scratch = np.multiply(b_det, dy)
+    out += scratch
     out *= dx
-    out += a_s * (dy * dy)
+    np.multiply(dy, dy, out=scratch)
+    scratch *= a_s
+    out += scratch
     out += log_norm
-    return log_weights + out
+    out += log_weights
+    return out
 
 
 def _logsumexp(stacked: np.ndarray) -> np.ndarray:
-    """log(sum(exp(stacked), axis=0)); a column that is all -inf stays -inf."""
-    peak = stacked.max(axis=0)
-    shift = np.where(np.isfinite(peak), peak, 0.0)
+    """log(sum(exp(stacked), axis=0)); a column that is all -inf stays -inf. ``stacked`` is not written."""
+    shift = stacked.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    scratch = np.subtract(stacked, shift)
+    total = np.exp(scratch, out=scratch).sum(axis=0)
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(stacked - shift).sum(axis=0)) + shift
+        np.log(total, out=total)
+    total += shift
+    return total
 
 
 def gmm_log_likelihood(data, model: GmmModel) -> float:

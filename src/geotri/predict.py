@@ -16,8 +16,8 @@ label, a point's column sums are then a 2-D convolution of the map of the
 references that chose the label with the label's kernel, and a block of
 points takes one FFT convolution over n x n arrays, n the smallest power of
 two >= 2*dim - 1 (see ``_score_block``): O(dim^2 log dim) time per point and
-label, O(L * n^2) memory per grid plus O(P * L * n^2) per block, and no
-vertex x vertex surface is built.
+label, O(L * n^2) memory per grid plus O(P * n^2) per block, one label's
+transforms at a time, and no vertex x vertex surface is built.
 
 The per-grid tables outlive the call that builds them: for a set of
 ``GmmModel`` objects, ``_STORE`` holds its read-only tables per grid
@@ -101,9 +101,13 @@ class Grid:
         min_lat, min_lon, max_lat, max_lon = self.bbox
         if not (min_lat <= lat <= max_lat and min_lon <= lon <= max_lon):
             raise ValueError(f"point ({lat}, {lon}) outside bbox {self.bbox}")
+        return int(self._regions(np.array([(lat, lon)]))[0])
+
+    def _regions(self, points: np.ndarray) -> np.ndarray:
+        """``region_containing`` of each (lat, lon) row of ``points``, which must lie in the box: one rule for both."""
         cells = self.dim - 1
-        row = min(int((lat - min_lat) / (max_lat - min_lat) * cells), cells - 1)
-        col = min(int((lon - min_lon) / (max_lon - min_lon) * cells), cells - 1)
+        low, high = np.reshape(self.bbox, (2, 2))
+        row, col = np.minimum(((points - low) / (high - low) * cells).astype(int), cells - 1).T
         return row * cells + col
 
     def region_centers(self) -> np.ndarray:
@@ -161,8 +165,8 @@ class PredictionSurface:
 
 
 # Point x vertex pairs per model-selection block of a trial and observation x vertex
-# pairs per evidence block of ``fuse``: each feature or per-component density array is
-# then 256 KB and stays in cache at any size. 2**15 was the fastest of 2**12 ... 2**17.
+# pairs per evidence block of ``fuse``: each feature array is then 256 KB at any size,
+# and a K-component model's densities K times that. 2**15 was the fastest of 2**12 ... 2**17.
 _PAIR_BUDGET = 1 << 15
 
 
@@ -184,11 +188,11 @@ def _select_models(points: np.ndarray, grid: Grid, models, labels) -> tuple[np.n
 
     ``points`` is a (P, 2) array of (lat, lon) rows and ``labels`` the sorted
     labels (``_ScoringTables.labels``). Returns the (P, V) chosen label index
-    (ties resolve to the first, i.e. smallest, label) and the (P, V) maximum
-    log-density used for underflow detection.
+    (ties resolve to the first, i.e. smallest, label) and the (L, P, V)
+    log-densities it was chosen from, whose maximum ``score_point`` checks for underflow.
     """
     log_densities = _label_densities(labels, models, *_point_features(points, grid))
-    return np.argmax(log_densities, axis=0), np.max(log_densities, axis=0)
+    return np.argmax(log_densities, axis=0), log_densities
 
 
 def _offset_kernels(grid: Grid, models, labels) -> np.ndarray:
@@ -311,9 +315,9 @@ def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tupl
     Per label, that sum is the 2-D convolution of the dim x dim map of the
     references that chose it, each weighted by exp(m_l - peak), with
     exp(K_l - m_l); the sums are the window [dim - 1, 2*dim - 2]^2 of the
-    sum over labels, taken as one ``rfft2`` of the whole (P, L, n, n) block,
-    a product with ``spectra`` and one ``irfft2`` (n >= 2*dim - 1, so no
-    wrap-around reaches the window). Round-off below zero is clamped to 0.
+    sum over labels, added label by label as the ``rfft2`` of the block's
+    maps times the label's spectrum, then one ``irfft2`` (n >= 2*dim - 1,
+    so no wrap-around reaches the window). Round-off below zero is clamped to 0.
     A label whose kernel maximum lies above the point's peak (no vertex that
     chose it reaches that maximum) uses its own kernel exp(min(K - peak, 0))
     instead, which is exact because no pair uses an entry above the peak. A
@@ -328,17 +332,17 @@ def _score_block(grid: Grid, tables: _ScoringTables, choice: np.ndarray) -> tupl
     unreachable = (excess > 0.0) & ~flat[:, None]
     scale = np.exp(np.minimum(excess, 0.0))
     scale[unreachable | flat[:, None]] = 0.0
-    chosen = choice[:, None, :] == np.arange(n_labels)[:, None]  # (P, L, V)
-    weights = (chosen * scale[:, :, None]).reshape(n_points, n_labels, dim, dim)
+    # One label at a time: every label's masks and transforms held at once would be paged in afresh per block.
     # numpy.fft transforms each point of a batch alike, so a point scores the same in any block.
-    transforms = np.fft.rfft2(weights, s=shape)
-    # Label by label: a whole (P, L, n, n // 2 + 1) product is a temporary that is paged in afresh per block.
-    spectrum = transforms[:, 0] * tables.spectra[0]
-    for label in range(1, n_labels):
-        spectrum += transforms[:, label] * tables.spectra[label]
-    for point, label in np.argwhere(unreachable & chosen.any(axis=2)):
+    for label in range(n_labels):
+        chosen = choice == label
+        unreachable[:, label] &= chosen.any(axis=1)
+        product = np.fft.rfft2((chosen * scale[:, label, None]).reshape(n_points, dim, dim), s=shape)
+        product *= tables.spectra[label]
+        spectrum = product if label == 0 else np.add(spectrum, product, out=spectrum)
+    for point, label in np.argwhere(unreachable):
         clamped = np.exp(np.minimum(tables.kernels[label] - peak[point], 0.0))
-        mask = chosen[point, label].reshape(dim, dim)
+        mask = (choice[point] == label).reshape(dim, dim)
         spectrum[point] += np.fft.rfft2(mask, s=shape) * np.fft.rfft2(clamped, s=shape)
     sums = np.fft.irfft2(spectrum, s=shape)[:, dim - 1 : 2 * dim - 1, dim - 1 : 2 * dim - 1]
     sums = np.maximum(sums, 0.0).reshape(n_points, v)
@@ -356,12 +360,12 @@ def score_point(point, grid: Grid, models) -> PredictionSurface:
         raise ValueError(f"point ({lat}, {lon}) is not finite")
     _check_coords(lat, lon, "point")
     tables = _scoring_tables(grid, models)
-    choices, best_log = _select_models(np.array([(lat, lon)]), grid, models, tables.labels)
+    choices, log_densities = _select_models(np.array([(lat, lon)]), grid, models, tables.labels)
     fused, peak = _score_block(grid, tables, choices)
     if np.isinf(peak[0]):
         underflow = tuple(range(grid.vertex_count))
     else:
-        underflow = tuple(np.flatnonzero(np.isneginf(best_log[0])).tolist())
+        underflow = tuple(np.flatnonzero(np.isneginf(log_densities[:, 0].max(axis=0))).tolist())
     return PredictionSurface(
         fused_vertex=fused[0],
         region_likelihoods=grid.region_average(fused[0]),
@@ -377,7 +381,7 @@ def _true_region_ranks(grid: Grid, points: np.ndarray, region_likelihoods: np.nd
     that position is the number of regions more likely than the point's
     region plus the number of equally likely regions with a lower index.
     """
-    target = np.array([grid.region_containing(lat, lon) for lat, lon in points])
+    target = grid._regions(points)
     own = region_likelihoods[np.arange(len(target)), target][:, None]
     earlier = np.arange(grid.region_count) < target[:, None]
     return np.count_nonzero(region_likelihoods > own, axis=1) + np.count_nonzero(

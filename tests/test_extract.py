@@ -116,11 +116,30 @@ def test_tokenize_separates_punctuation():
 
 
 def test_typographic_apostrophe_stays_inside_a_word(patterns):
-    assert tokenize("Martha’s Vineyard and O'Hare’s.") == ["Martha’s", "Vineyard", "and", "O'Hare", "’", "s", "."]
+    assert tokenize("Martha’s Vineyard and O'Hare’s.") == ["Martha’s", "Vineyard", "and", "O'Hare’s", "."]
     entries = [GazetteerEntry("Martha's Vineyard", (), 41.39, -70.61), GazetteerEntry("Boston", (), 42.36, -71.06)]
     gaz = build_gazetteer(entries)
     triplets = extract_triplets(["Martha’s Vineyard is near Boston."], gaz, patterns)
     assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == [("Martha's Vineyard", "near", "Boston")]
+
+
+def test_word_keeps_every_inner_apostrophe(patterns):
+    assert tokenize("Kaua'i's Waimea Canyon is near Lihue.")[:3] == ["Kaua'i's", "Waimea", "Canyon"]
+    assert tokenize("Rock ’n’ Roll, then 'n' alone.") == ["Rock", "’", "n", "’", "Roll", ",", "then", "'", "n", "'", "alone", "."]
+    assert tokenize("Rock’n’Roll's") == ["Rock’n’Roll's"]
+    entries = [
+        GazetteerEntry("Kaua'i's Waimea Canyon", (), 22.07, -159.66),
+        GazetteerEntry("Rock'n'Roll Park", (), 22.0, -159.5),
+        GazetteerEntry("Lihue", (), 21.98, -159.37),
+    ]
+    gaz = build_gazetteer(entries)
+    assert geocode("Kaua'i's Waimea Canyon", gaz, max_edit=0).name == "Kaua'i's Waimea Canyon"
+    texts = ["Kaua'i's Waimea Canyon is near Lihue.", "Rock’n’Roll Park is near Lihue."]
+    triplets = extract_triplets(texts, gaz, patterns)
+    assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == [
+        ("Kaua'i's Waimea Canyon", "near", "Lihue"),
+        ("Rock'n'Roll Park", "near", "Lihue"),
+    ]
 
 
 def test_tokenize_composes_decomposed_letters():

@@ -29,7 +29,9 @@ from geotri.mixture import (
     RACE_WARMUP,
     TrainingConfig,
     _floor_covariance,
+    _density_terms,
     _insert_component,
+    _log_joint,
     _logsumexp,
     _refine_candidates,
     derive_seed,
@@ -105,6 +107,48 @@ def test_logsumexp_matches_naive_reference():
         stacked = rng.uniform(-30.0, 30.0, size=(rows, 200))
         naive = np.log(np.exp(stacked).sum(axis=0))
         np.testing.assert_allclose(_logsumexp(stacked), naive, rtol=0.0, atol=1e-12)
+
+
+def expression_log_joint(dx, dy, terms):
+    """``_log_joint`` as plain expressions, each step a new array: the bitwise reference."""
+    log_weights, _, _, c_s, b_det, a_s, log_norm = terms
+    out = c_s * dx
+    out += b_det * dy
+    out *= dx
+    out += a_s * (dy * dy)
+    out += log_norm
+    return log_weights + out
+
+
+def expression_logsumexp(stacked):
+    """``_logsumexp`` as plain expressions: the bitwise reference."""
+    peak = stacked.max(axis=0)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(stacked - shift).sum(axis=0)) + shift
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_density_kernels_are_bitwise_the_expressions_and_keep_their_inputs(k):
+    rng = np.random.default_rng(k)
+    n = 400
+    a = rng.normal(size=(k, 2, 2))
+    covs = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(2)
+    terms = _density_terms(np.log(rng.dirichlet(np.ones(k))), rng.normal(size=(k, 2)), covs)
+    # Offsets and log densities from about 1e-200 to 1e200, so some terms overflow to inf and
+    # some differences are nan; two columns are all -inf.
+    magnitude = 10.0 ** rng.choice([-200, -100, 0, 2, 100, 200], size=(3, k, n))
+    dx, dy, stacked = rng.normal(size=(3, k, n)) * magnitude
+    stacked[:, :2] = -np.inf
+    stacked[0, 2] = np.inf
+    inputs = [array.copy() for array in (dx, dy, stacked, *terms)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        joint = _log_joint(dx, dy, terms)
+        assert joint.tobytes() == expression_log_joint(dx, dy, terms).tobytes()
+        for values in (joint, stacked):
+            assert _logsumexp(values).tobytes() == expression_logsumexp(values).tobytes()
+    for before, after in zip(inputs, (dx, dy, stacked, *terms)):
+        assert before.tobytes() == after.tobytes()
 
 
 def test_component_logpdf_matches_inverse_determinant_formula():

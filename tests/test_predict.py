@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -158,6 +159,29 @@ def test_region_containing_cells_and_edges():
     assert grid.region_containing(4.0, 4.0) == 15
     with pytest.raises(ValueError):
         grid.region_containing(4.1, 0.0)
+
+
+def scalar_region(grid, lat: float, lon: float) -> int:
+    """The region rule one point at a time: cell row and column, the top and right edges clamped into the last cell."""
+    min_lat, min_lon, max_lat, max_lon = grid.bbox
+    cells = grid.dim - 1
+    row = min(int((lat - min_lat) / (max_lat - min_lat) * cells), cells - 1)
+    col = min(int((lon - min_lon) / (max_lon - min_lon) * cells), cells - 1)
+    return row * cells + col
+
+
+@pytest.mark.parametrize("bbox", [*KERNEL_BBOXES, (0.0, 0.0, 4.0, 4.0)])
+@pytest.mark.parametrize("dim", [2, 5, 15, 60])
+def test_region_lookup_of_many_points_matches_the_scalar_rule(bbox, dim):
+    grid = make_grid(bbox, dim)
+    lats, lons = grid.vertices[::dim, 0], grid.vertices[:dim, 1]
+    # Every cell edge (the top and right bbox edges among them), the bbox as given, and each cell's middle.
+    lat_values = np.concatenate([lats, bbox[::2], (lats[:-1] + lats[1:]) / 2])
+    lon_values = np.concatenate([lons, bbox[1::2], (lons[:-1] + lons[1:]) / 2])
+    points = np.array([(lat, lon) for lat in lat_values.tolist() for lon in lon_values.tolist()])
+    expected = [scalar_region(grid, lat, lon) for lat, lon in points.tolist()]
+    assert grid._regions(points).tolist() == expected
+    assert [grid.region_containing(lat, lon) for lat, lon in points.tolist()] == expected
 
 
 def test_surface_vertex_mass_normalized():
@@ -365,6 +389,16 @@ class SouthwestStub:
         return -self.slope * distance * (np.cos(radians) + np.sin(radians)) - self.offset
 
 
+class LevelStub:
+    """The same log density ``level`` at every pair."""
+
+    def __init__(self, level: float):
+        self.level = level
+
+    def logpdf(self, distance, orientation) -> np.ndarray:
+        return np.full(np.shape(distance), self.level)
+
+
 # A gap of 800 overflows exp(gap) and underflows exp(-gap).
 @pytest.mark.parametrize(("slope", "offset", "gap"), [(0.3, 8.0, 1.0), (200.0, 1000.0, 800.0)])
 def test_kernel_peak_out_of_reach_of_every_vertex_that_chose_it(slope, offset, gap):
@@ -385,6 +419,90 @@ def test_kernel_peak_out_of_reach_of_every_vertex_that_chose_it(slope, offset, g
     assert surface.fused_vertex.min() >= 0 and surface.region_likelihoods.min() >= 0
     assert surface.chosen_labels == labels
     assert surface.underflow_vertices == underflow
+
+
+def batched_score_block(grid, tables, choice):
+    """The scorer with one ``rfft2`` over the block's whole (P, L, dim, dim) stack of label maps: the bitwise reference."""
+    dim, v = grid.dim, grid.vertex_count
+    n_points, n_labels = len(choice), len(tables.peaks)
+    shape = (tables.spectra.shape[1],) * 2
+    peak = tables.reach[choice, np.arange(v)].max(axis=1)
+    flat = np.isinf(peak)
+    excess = tables.peaks - np.where(flat, 0.0, peak)[:, None]
+    unreachable = (excess > 0.0) & ~flat[:, None]
+    scale = np.exp(np.minimum(excess, 0.0))
+    scale[unreachable | flat[:, None]] = 0.0
+    chosen = choice[:, None, :] == np.arange(n_labels)[:, None]
+    transforms = np.fft.rfft2((chosen * scale[:, :, None]).reshape(n_points, n_labels, dim, dim), s=shape)
+    spectrum = transforms[:, 0] * tables.spectra[0]
+    for label in range(1, n_labels):
+        spectrum += transforms[:, label] * tables.spectra[label]
+    for point, label in np.argwhere(unreachable & chosen.any(axis=2)):
+        clamped = np.exp(np.minimum(tables.kernels[label] - peak[point], 0.0))
+        mask = chosen[point, label].reshape(dim, dim)
+        spectrum[point] += np.fft.rfft2(mask, s=shape) * np.fft.rfft2(clamped, s=shape)
+    sums = np.fft.irfft2(spectrum, s=shape)[:, dim - 1 : 2 * dim - 1, dim - 1 : 2 * dim - 1]
+    sums = np.maximum(sums, 0.0).reshape(n_points, v)
+    sums[flat] = 1.0
+    return sums / sums.sum(axis=1, keepdims=True), peak
+
+
+def random_points(bbox, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(bbox[0], bbox[2], count), rng.uniform(bbox[1], bbox[3], count)])
+
+
+def assert_score_block_is_batched(grid, models, points):
+    tables = predict._scoring_tables(grid, models)
+    choice, _ = predict._select_models(points, grid, models, tables.labels)
+    fused, peak = predict._score_block(grid, tables, choice)
+    want_fused, want_peak = batched_score_block(grid, tables, choice)
+    assert fused.tobytes() == want_fused.tobytes()
+    assert peak.tobytes() == want_peak.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 7, 15, 30, 60])
+@pytest.mark.parametrize("count", [1, 3, 32])
+def test_score_block_is_bitwise_the_batched_block(dim, count):
+    grid = make_grid(BBOX, dim)
+    for models in (synthetic_city_models(), reversed_city_models()):
+        assert_score_block_is_batched(grid, models, random_points(BBOX, count, dim * count))
+
+
+@pytest.mark.parametrize(
+    "models",
+    [
+        {"near": WithinStub(3.0), "southwest": SouthwestStub(0.3, 8.0)},
+        {"near": WithinStub(3.0), "southwest": SouthwestStub(200.0, 1000.0)},
+        # "steady" wins beyond about 9.5 km and sorts after "southwest", so its product is added after that label's.
+        {"near": WithinStub(3.0), "southwest": SouthwestStub(0.3, 8.0), "steady": LevelStub(-12.0)},
+        {"nowhere": WithinStub(-1.0), "never": WithinStub(-1.0)},
+        {"near": WithinStub(7.3), "nearer": WithinStub(3.1)},
+        {"near": WithinStub(7.3), "absent": WithinStub(-1.0)},
+    ],
+    ids=["out-of-reach", "out-of-reach-overflow", "out-of-reach-mid-label", "underflow-everywhere",
+         "underflow-somewhere", "dead-label"],
+)
+@pytest.mark.parametrize("count", [1, 3, 32])
+def test_score_block_is_bitwise_the_batched_block_on_stubs(models, count):
+    # The first point is the one whose "southwest" kernel peak no vertex that chose it can reach.
+    points = random_points(BBOX, count, count)
+    points[0] = (40.17, 116.225)
+    assert_score_block_is_batched(make_grid(BBOX, 9), models, points)
+
+
+def test_score_block_holds_one_label_of_transforms_at_a_time():
+    # With every label's (P, L, n, n // 2 + 1) transforms at once, this block peaked at 2.2 MB.
+    grid, models = make_grid(BBOX, 15), synthetic_city_models()
+    tables = predict._scoring_tables(grid, models)
+    choice, _ = predict._select_models(random_points(BBOX, 32, 15), grid, models, tables.labels)
+    tracemalloc.start()
+    try:
+        predict._score_block(grid, tables, choice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25e6
 
 
 def test_uniform_stub_surface_is_uniform():
