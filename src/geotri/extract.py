@@ -10,6 +10,8 @@ phrase for some relation label occurs inside the gap. Requiring both
 checks keeps sentences like "Deutsche Bank invested 10 million dollars in
 Brazil" from producing a bogus containment triplet. A gap longer than the
 longest pattern's gap is rejected before its tokens are classed.
+``extract_triplets`` tags on plain (start, end, place) span tuples and
+matches each distinct gap, keyed by its exact tokens, once per call.
 
 Token classes are approximated with small closed word lists (prepositions,
 copular/3rd-person verbs, determiners, direction words, and so on) plus an
@@ -186,14 +188,17 @@ class PatternSet:
                 raise ValueError(f"pattern needs exactly two ENTITY slots: {pattern}")
             if pattern[0] != "ENTITY" or pattern[-1] != "ENTITY":
                 raise ValueError(f"pattern must start and end with ENTITY: {pattern}")
+            if len(pattern) == 2:
+                raise ValueError(f"pattern needs a token class between its ENTITY slots: {pattern}")
             unknown = set(pattern) - _KNOWN_CLASSES
             if unknown:
                 raise ValueError(f"unknown token classes {sorted(unknown)} in {pattern}")
         for label, connectors in self.relation_strings.items():
             if not label or label != label.lower():
                 raise ValueError(f"labels must be non-empty and lowercase: {label!r}")
-            if not connectors or any(not c or any(w.split() != [w] for w in c) for c in connectors):
-                raise ValueError(f"label {label!r} needs connector phrases of whitespace-free words")
+            # A gap's text is lowercased NFC tokens, so any other connector word could never match.
+            if not connectors or any(not c or any(w != w.lower() or tokenize(w) != [w] for w in c) for c in connectors):
+                raise ValueError(f"label {label!r} needs connector phrases of whitespace-free lowercase tokens")
         object.__setattr__(self, "max_gap", max(map(len, self.syntactic_patterns), default=2) - 2)
         ranked = sorted((-len(c), label, " ".join(c)) for label, cs in self.relation_strings.items() for c in cs)
         object.__setattr__(self, "phrases", tuple((f" {text} ", label) for _, label, text in ranked))
@@ -237,11 +242,16 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
     a token that starts no multi-word name costs two hash lookups, however
     long the names are.
     """
+    return [EntitySpan(*span) for span in _spans(tokens, gaz)]
+
+
+def _spans(tokens: list[str], gaz: Gazetteer) -> list[tuple[int, int, Poi]]:
+    """``tag_entities`` as ``(token_start, token_end, poi)`` tuples."""
     # An ASCII alphanumeric token is its own key lowercased, as normalize_name's fast path gives.
     keys = [token.lower() if token.isascii() and token.isalnum() else normalize_name(token) or None for token in tokens]
     keys.append(None)  # ends the last span at the end of the sentence
     index, prefixes = gaz.name_index, gaz.name_prefixes
-    spans: list[EntitySpan] = []
+    spans: list[tuple[int, int, Poi]] = []
     i = 0
     n = len(tokens)
     while i < n:
@@ -256,7 +266,7 @@ def tag_entities(tokens: list[str], gaz: Gazetteer) -> list[EntitySpan]:
         if poi is None:
             i += 1
         else:
-            spans.append(EntitySpan(i, end, poi))
+            spans.append((i, end, poi))
             i = end
     return spans
 
@@ -277,8 +287,11 @@ def match_relation(
     if left.token_end > right.token_start:
         raise ValueError("left span must precede right span without overlap")
     gap = tokens[left.token_end : right.token_start]
-    if len(gap) > patterns.max_gap:
-        return None
+    return None if len(gap) > patterns.max_gap else _relation(gap, patterns)
+
+
+def _relation(gap: list[str] | tuple[str, ...], patterns: PatternSet) -> str | None:
+    """``match_relation``'s pattern and connector test on the gap's tokens."""
     sequence = ("ENTITY", *[token_class(t) for t in gap], "ENTITY")
     if sequence not in patterns.syntactic_patterns:
         return None
@@ -297,16 +310,19 @@ def extract_triplets(corpus, gaz: Gazetteer, patterns: PatternSet) -> list[Tripl
     same corpus are identical.
     """
     triplets: list[Triplet] = []
+    relations: dict[tuple[str, ...], str | None] = {}
     for text in corpus:
         for tokens in map(tokenize, split_sentences(text)):
-            spans = tag_entities(tokens, gaz)
-            if len(spans) < 2:
-                continue
-            for left, right in zip(spans, spans[1:]):
-                label = match_relation(tokens, left, right, patterns)
-                if label is None or left.poi.name == right.poi.name:
+            spans = _spans(tokens, gaz)
+            for (_, end, left), (start, _, right) in zip(spans, spans[1:]):
+                if start - end > patterns.max_gap or left.name == right.name:
                     continue
-                triplets.append(Triplet(left.poi, label, right.poi))
+                gap = tuple(tokens[end:start])
+                if gap not in relations:
+                    relations[gap] = _relation(gap, patterns)
+                label = relations[gap]
+                if label is not None:
+                    triplets.append(Triplet(left, label, right))
     return triplets
 
 

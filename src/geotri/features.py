@@ -123,13 +123,11 @@ def build_training_sets(triplets, origin: ProjectionOrigin) -> dict[str, Trainin
     triplets = list(triplets)
     coords = [(t.subject.lat, t.subject.lon, t.object.lat, t.object.lon) for t in triplets]
     distance, orientation = feature_components(*np.array(coords, dtype=float).reshape(-1, 4).T, origin)
-    labels = np.array([t.relation for t in triplets], dtype=object)
-    sets: dict[str, TrainingSet] = {}
-    for label in dict.fromkeys(labels.tolist()):
-        mask = labels == label
-        vectors = np.rec.fromarrays([distance[mask], orientation[mask]], names="distance,orientation")
-        sets[label] = TrainingSet(vectors)
-    return sets
+    records = np.rec.fromarrays([distance, orientation], names="distance,orientation")
+    rows: dict[str, list[int]] = {}
+    for row, triplet in enumerate(triplets):
+        rows.setdefault(triplet.relation, []).append(row)
+    return {label: TrainingSet(records[index]) for label, index in rows.items()}
 
 
 def label_filenames(labels) -> dict[str, str]:

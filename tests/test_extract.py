@@ -460,6 +460,32 @@ def test_pattern_set_rejects_connector_words_with_whitespace():
             PatternSet((("ENTITY", "IN", "ENTITY"),), {"of": (connector,)})
 
 
+@pytest.mark.parametrize(
+    "connector",
+    [("Near",), ("close-by",), ("near", "By"), (unicodedata.normalize("NFD", "são"),), ("a.m",)],
+)
+def test_pattern_set_rejects_connector_words_that_can_never_match(connector):
+    # A gap's text is its NFC tokens lowercased, so none of these could occur in one.
+    with pytest.raises(ValueError, match="whitespace-free lowercase tokens"):
+        PatternSet((("ENTITY", "VBZ", "IN", "ENTITY"),), {"near": (connector,)})
+
+
+def test_pattern_set_rejects_a_pattern_with_no_gap_class():
+    # ENTITY ENTITY leaves no gap for a connector to occur in.
+    with pytest.raises(ValueError, match="token class between its ENTITY slots"):
+        PatternSet((("ENTITY", "VBZ", "IN", "ENTITY"), ("ENTITY", "ENTITY")), {"near": (("near",),)})
+
+
+def test_load_patterns_names_the_line_of_a_connector_that_can_never_match(tmp_path):
+    path = tmp_path / "patterns.tsv"
+    path.write_text("near\tNEAR\tENTITY VBZ IN ENTITY\nnear\tclose-by\tENTITY VBZ JJ IN ENTITY\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: label 'near' needs connector phrases")):
+        load_patterns(str(path))
+    # The connector column is lowercased on loading, so NEAR alone loads as near.
+    path.write_text("near\tNEAR\tENTITY VBZ IN ENTITY\n", encoding="utf-8")
+    assert load_patterns(str(path)).relation_strings == {"near": (("near",),)}
+
+
 def test_match_relation_label_tie_breaks_lexicographically():
     patterns = PatternSet(
         syntactic_patterns=(("ENTITY", "VBZ", "IN", "ENTITY"),),
@@ -592,3 +618,103 @@ def test_triplet_tsv_round_trip_property(s_name, o_name, s_lat, s_lon, o_lat, o_
     assert loaded.subject == triplet.subject
     assert loaded.object == triplet.object
     assert loaded.relation == "near"
+
+
+def reference_extract(corpus, gaz, patterns):
+    # The loop that matches every adjacent pair on its own: the reference for
+    # extract_triplets, which tags on tuples and matches each distinct gap once.
+    triplets = []
+    for text in corpus:
+        for tokens in map(tokenize, split_sentences(text)):
+            spans = tag_entities(tokens, gaz)
+            for left, right in zip(spans, spans[1:]):
+                label = match_relation(tokens, left, right, patterns)
+                if label is None or left.poi.name == right.poi.name:
+                    continue
+                triplets.append(Triplet(left.poi, label, right.poi))
+    return triplets
+
+
+# Two places share the name Springfield, São Paulo is stored composed, and
+# names hold "_" and "'".
+_LOOP_GAZETTEER = build_gazetteer(
+    [
+        GazetteerEntry("Boston", (), 42.36, -71.06),
+        GazetteerEntry("New York", ("NYC",), 40.71, -74.01),
+        GazetteerEntry("São Paulo", (), -23.55, -46.63),
+        GazetteerEntry("Springfield", (), 39.8, -89.65),
+        GazetteerEntry("Springfield", (), 42.1, -72.59),
+        GazetteerEntry("x_1 Park", (), 1.0, 1.0),
+        GazetteerEntry("Martha's Vineyard", (), 41.39, -70.61),
+    ]
+)
+# A short limit (most gaps are too long) and gaps of punctuation alone.
+_LOOP_PATTERNS = [
+    demo_patterns(),
+    PatternSet(
+        (("ENTITY", "IN", "ENTITY"), ("ENTITY", "PUNCT", "ENTITY")),
+        {"near": (("near",),), "dash": (("-",),), "quote": (("’",),)},
+    ),
+]
+_LOOP_NAMES = [
+    "Boston", "BOSTON", "boston", "New York", "NEW york", "NYC", "São Paulo",
+    unicodedata.normalize("NFD", "São Paulo"), "Springfield", "x_1 Park", "Martha’s Vineyard",
+]
+_LOOP_WORDS = [
+    "is", "IS", "Is", "near", "Near", "NEAR", "in", "of", "north", "North", "the", "which", "lies",
+    "right", "next", "to", ",", "-", "’", "'", "_", ".", "!", "?",
+]
+
+
+@st.composite
+def loop_corpora(draw):
+    # Texts of names and gap words with spaces, no space or a sentence break
+    # between pieces, drawn from a small vocabulary so gaps repeat.
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        pieces = draw(st.lists(st.sampled_from(_LOOP_NAMES) | st.sampled_from(_LOOP_WORDS), max_size=16))
+        text = ""
+        for piece in pieces:
+            text += draw(st.sampled_from([" ", " ", "", ". "])) + piece
+        texts.append(text)
+    return texts, draw(st.sampled_from(_LOOP_PATTERNS))
+
+
+@example((["New York is near Boston. Boston is near São Paulo.", "NYC IS near Boston, boston is near NYC"], _LOOP_PATTERNS[0]))
+@example((["Boston is right north of the x_1 Park, which is near Springfield. Boston, which is in NYC."], _LOOP_PATTERNS[0]))
+@example((["Springfield is near Springfield. Boston - BOSTON. Boston is near Boston."], _LOOP_PATTERNS[1]))
+@example((["Boston - New York’São Paulo, Springfield - x_1 Park"], _LOOP_PATTERNS[1]))
+@example(([unicodedata.normalize("NFD", "Martha’s Vineyard is near São Paulo. São Paulo lies NEAR Boston")], _LOOP_PATTERNS[0]))
+@settings(max_examples=300)
+@given(loop_corpora())
+def test_extract_matches_the_pair_by_pair_loop(case):
+    corpus, patterns = case
+    assert extract_triplets(corpus, _LOOP_GAZETTEER, patterns) == reference_extract(corpus, _LOOP_GAZETTEER, patterns)
+
+
+def test_each_distinct_gap_is_matched_once_per_call(monkeypatch):
+    decided = []
+    relation = extract._relation
+    monkeypatch.setattr(extract, "_relation", lambda gap, patterns: decided.append(gap) or relation(gap, patterns))
+    corpus = [
+        "New York is near Boston. Boston is near São Paulo, Springfield is near Springfield.",
+        "NYC IS NEAR Boston. Boston is right next to the north of São Paulo. Boston is near NYC.",
+    ]
+    expected = [("New York", "near", "Boston"), ("Boston", "near", "São Paulo"), ("New York", "near", "Boston"),
+                ("Boston", "near", "New York")]
+    for _ in range(2):
+        triplets = extract_triplets(corpus, _LOOP_GAZETTEER, demo_patterns())
+        assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == expected
+        # Gaps are keyed by their exact tokens; a same-name pair and a gap
+        # longer than max_gap are never matched.
+        assert decided == [("is", "near"), (",",), ("IS", "NEAR")]
+        decided.clear()
+
+
+def test_each_call_matches_its_gaps_against_its_own_patterns():
+    gap_pattern = (("ENTITY", "VBZ", "IN", "ENTITY"),)
+    first = PatternSet(gap_pattern, {"near": (("near",),)})
+    second = PatternSet(gap_pattern, {"close": (("near",),)})
+    for patterns, label in ((first, "near"), (second, "close"), (first, "near")):
+        triplets = extract_triplets(["New York is near Boston."], _LOOP_GAZETTEER, patterns)
+        assert [(t.subject.name, t.relation, t.object.name) for t in triplets] == [("New York", label, "Boston")]

@@ -245,6 +245,34 @@ def test_build_training_sets_matches_per_triplet_features_bitwise(block):
         assert got == [(distance.hex(), orientation.hex()) for distance, orientation in vectors]
 
 
+def mask_training_sets(triplets, origin):
+    # Grouping by an object label array and one mask per label, the
+    # reference for build_training_sets' one record array and index lists.
+    triplets = list(triplets)
+    coords = [(t.subject.lat, t.subject.lon, t.object.lat, t.object.lon) for t in triplets]
+    distance, orientation = feature_components(*np.array(coords, dtype=float).reshape(-1, 4).T, origin)
+    labels = np.array([t.relation for t in triplets], dtype=object)
+    sets = {}
+    for label in dict.fromkeys(labels.tolist()):
+        mask = labels == label
+        sets[label] = np.rec.fromarrays([distance[mask], orientation[mask]], names="distance,orientation")
+    return sets
+
+
+@example(([], ORIGIN))
+@example((_LABELS + [_COINCIDENT], ProjectionOrigin(-60.0, -170.0)))
+@settings(max_examples=200)
+@given(triplet_blocks())
+def test_build_training_sets_matches_the_mask_grouping_bytewise(block):
+    sets = build_training_sets(*block)
+    expected = mask_training_sets(*block)
+    assert list(sets) == list(expected)
+    for label, vectors in expected.items():
+        got = sets[label].vectors
+        assert type(got) is np.recarray and got.dtype == vectors.dtype
+        assert got.tobytes() == vectors.tobytes()
+
+
 @example(([_COINCIDENT], ORIGIN))
 @example((_LABELS + [_COINCIDENT], ProjectionOrigin(-60.0, -170.0)))
 @example(([_BELOW_ZERO], ProjectionOrigin(0.0, 0.0)))
